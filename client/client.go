@@ -109,8 +109,8 @@ func (e *Error) Error() string {
 
 // IsConflict reports whether err is a daemon conflict: a capacity
 // condition (count overflow, counter saturation, deleting an absent
-// element), a rotate against a non-windowed namespace, or creating a
-// namespace that exists.
+// element, an answer larger than wire.MaxFrame), a rotate against a
+// non-windowed namespace, or creating a namespace that exists.
 func IsConflict(err error) bool {
 	var e *Error
 	return errors.As(err, &e) && e.Status == wire.StatusConflict

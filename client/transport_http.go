@@ -318,9 +318,15 @@ func (t *httpTransport) doRaw(ctx context.Context, req *wire.Request, resp *wire
 		return nil, fmt.Errorf("client: %s: %w", wire.OpName(req.Op), err)
 	}
 	defer hresp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(hresp.Body, wire.MaxFrame))
+	data, err := io.ReadAll(io.LimitReader(hresp.Body, wire.MaxFrame+1))
 	if err != nil {
 		return nil, fmt.Errorf("client: reading %s response: %w", wire.OpName(req.Op), err)
+	}
+	if len(data) > wire.MaxFrame {
+		// The ShBP listener refuses such an answer in band; report it
+		// the same way rather than return a truncated body.
+		resp.Status, resp.Msg = wire.StatusConflict, wire.OversizeMsg(req.Op)
+		return nil, nil
 	}
 	if hresp.StatusCode >= 400 {
 		var e struct {

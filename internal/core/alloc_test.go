@@ -15,12 +15,14 @@ package core
 // steady size.
 //
 // Update paths that store keys in a backing hash table (counting
-// association/multiplicity inserts of NEW keys) allocate by design —
-// the table keeps a copy of the key — so they are exercised here only
-// on already-stored keys, where they too must be allocation-free.
+// association/multiplicity inserts of NEW keys) allocate only when the
+// table grows: a node chunk, an arena chunk or a doubled bucket array.
+// Steady-state churn — keys deleted and new ones inserted — reuses
+// freed nodes and must be allocation-free.
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -122,6 +124,20 @@ func TestAssociationHotPathsAllocFree(t *testing.T) {
 		}
 	}
 	requireZeroAllocs(t, "CountingAssociation.Query", 100, func() { ca.Query(keys[i%len(keys)]); i++ })
+	// Churn: stored keys move S1−S2 → S1∩S2 → S1−S2, and keys never
+	// stored are inserted and deleted again, reusing the freed node.
+	requireZeroAllocs(t, "CountingAssociation.Insert/Delete", 100, func() {
+		stored, fresh := keys[i%256], keys[256+i%256]
+		i++
+		for _, err := range []error{
+			ca.InsertS2(stored), ca.DeleteS2(stored),
+			ca.InsertS2(fresh), ca.InsertS1(fresh), ca.DeleteS2(fresh), ca.DeleteS1(fresh),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }
 
 func TestMultiAssociationQueryAllocFree(t *testing.T) {
@@ -182,6 +198,58 @@ func TestCountingMultiplicityHotPathsAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestCountingTablesAddFewHeapObjects pins that the exact side tables
+// of CShBF_X and CShBF_A hold their keys in a few large pointer-free
+// chunks: 100k distinct keys add fewer than 1,000 heap objects (a
+// table of per-key heap entries adds two per key), so the garbage
+// collector has next to nothing to mark however many keys are stored.
+func TestCountingTablesAddFewHeapObjects(t *testing.T) {
+	const n, limit = 100_000, 1000
+	keys := allocKeys(n)
+	heapObjects := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapObjects
+	}
+
+	cm, err := NewCountingMultiplicity(24*n, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := heapObjects()
+	for _, e := range keys {
+		if err := cm.Insert(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if added := int64(heapObjects()) - int64(before); added >= limit {
+		t.Errorf("CountingMultiplicity: %d distinct keys added %d heap objects, want < %d", n, added, limit)
+	}
+	runtime.KeepAlive(cm)
+
+	ca, err := NewCountingAssociation(24*n, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = heapObjects()
+	for j, e := range keys {
+		if err := ca.InsertS1(e); err != nil {
+			t.Fatal(err)
+		}
+		if j%2 == 0 {
+			if err := ca.InsertS2(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if added := int64(heapObjects()) - int64(before); added >= limit {
+		t.Errorf("CountingAssociation: %d distinct keys added %d heap objects, want < %d", n, added, limit)
+	}
+	runtime.KeepAlive(ca)
+	runtime.KeepAlive(keys)
 }
 
 func TestSCMSketchHotPathsAllocFree(t *testing.T) {

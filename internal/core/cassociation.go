@@ -14,7 +14,10 @@ import (
 // updatable ShBF_A. It maintains the membership hash tables T1 and T2
 // (off-chip, as in the construction phase of Section 4.1), an array C of
 // counters, and the query-side bit array B, synchronized after every
-// update.
+// update. T1 and T2 are kept as one table whose value holds an
+// element's S1 and S2 membership bits, so an update finds the element's
+// region with a single probe and each element is stored once; snapshots
+// still write T1's key list and then T2's.
 //
 // The paper describes inserts/deletes as "after querying T1 and T2 and
 // determining whether o(e) = 0, o1(e), or o2(e), increment/decrement the
@@ -26,14 +29,22 @@ import (
 type CountingAssociation struct {
 	bits      *bitvec.Vector
 	counts    *counters.Array
-	t1, t2    *hashtable.Table
+	sets      *hashtable.Table // element → inS1|inS2
+	n1, n2    int
 	m         int
 	k         int
 	wbar      int
 	halfRange int
+	winMask   uint64 // precomputed w̄-bit window mask for the uncounted read
 	fam       *hashing.Family
 	seed      uint64
 }
+
+// Membership bits of a sets value.
+const (
+	inS1 = 1
+	inS2 = 2
+)
 
 // NewCountingAssociation returns an empty updatable association filter.
 func NewCountingAssociation(m, k int, opts ...Option) (*CountingAssociation, error) {
@@ -54,12 +65,12 @@ func NewCountingAssociation(m, k int, opts ...Option) (*CountingAssociation, err
 	a := &CountingAssociation{
 		bits:      bitvec.New(total),
 		counts:    counters.New(total, cfg.counterWidth),
-		t1:        hashtable.New(cfg.seed + 1),
-		t2:        hashtable.New(cfg.seed + 2),
+		sets:      hashtable.New(cfg.seed + 1),
 		m:         m,
 		k:         k,
 		wbar:      cfg.maxOffset,
 		halfRange: (cfg.maxOffset - 1) / 2,
+		winMask:   ^uint64(0) >> (64 - uint(cfg.maxOffset)),
 		fam:       hashing.NewFamily(k+2, cfg.seed),
 		seed:      cfg.seed,
 	}
@@ -74,8 +85,8 @@ func (a *CountingAssociation) SetUpdateCounter(mc *memmodel.Counter) {
 }
 
 // N1, N2 report the current distinct sizes of S1 and S2.
-func (a *CountingAssociation) N1() int { return a.t1.Len() }
-func (a *CountingAssociation) N2() int { return a.t2.Len() }
+func (a *CountingAssociation) N1() int { return a.n1 }
+func (a *CountingAssociation) N2() int { return a.n2 }
 
 // InsertS1 adds e to S1 (no-op if already present), re-encoding e's
 // region if it changed. ErrCounterSaturated is returned if a counter
@@ -87,12 +98,9 @@ func (a *CountingAssociation) InsertS1(e []byte) error {
 // InsertS1Digest is InsertS1 for a caller that already digested e
 // (the sharded layer, which routed on the digest). d must be e's
 // hashing.KeyDigest; the raw key is still needed for the membership
-// tables.
+// table.
 func (a *CountingAssociation) InsertS1Digest(e []byte, d hashing.Digest) error {
-	if a.t1.Contains(e) {
-		return nil
-	}
-	return a.transition(e, d, func() { a.t1.Put(e, 1) })
+	return a.update(e, d, inS1, true)
 }
 
 // InsertS2 adds e to S2 (no-op if already present).
@@ -102,10 +110,7 @@ func (a *CountingAssociation) InsertS2(e []byte) error {
 
 // InsertS2Digest is InsertS2 for an already digested key.
 func (a *CountingAssociation) InsertS2Digest(e []byte, d hashing.Digest) error {
-	if a.t2.Contains(e) {
-		return nil
-	}
-	return a.transition(e, d, func() { a.t2.Put(e, 1) })
+	return a.update(e, d, inS2, true)
 }
 
 // DeleteS1 removes e from S1, returning ErrNotStored if absent.
@@ -115,10 +120,7 @@ func (a *CountingAssociation) DeleteS1(e []byte) error {
 
 // DeleteS1Digest is DeleteS1 for an already digested key.
 func (a *CountingAssociation) DeleteS1Digest(e []byte, d hashing.Digest) error {
-	if !a.t1.Contains(e) {
-		return ErrNotStored
-	}
-	return a.transition(e, d, func() { a.t1.Delete(e) })
+	return a.update(e, d, inS1, false)
 }
 
 // DeleteS2 removes e from S2, returning ErrNotStored if absent.
@@ -128,29 +130,29 @@ func (a *CountingAssociation) DeleteS2(e []byte) error {
 
 // DeleteS2Digest is DeleteS2 for an already digested key.
 func (a *CountingAssociation) DeleteS2Digest(e []byte, d hashing.Digest) error {
-	if !a.t2.Contains(e) {
-		return ErrNotStored
-	}
-	return a.transition(e, d, func() { a.t2.Delete(e) })
+	return a.update(e, d, inS2, false)
 }
 
-// transition applies the set mutation, then re-encodes e if its region
-// changed: decrement the old offset's k counters (clearing bits that
-// reach zero) and increment the new offset's (setting bits). All
-// positions derive from the single digest d.
-func (a *CountingAssociation) transition(e []byte, d hashing.Digest, mutate func()) error {
-	oldRegion := a.truthRegion(e)
-	mutate()
-	newRegion := a.truthRegion(e)
-	if oldRegion == newRegion {
-		return nil
+// update sets (insert) or clears e's membership bit with one table
+// probe, then re-encodes e for its new region: decrement the old
+// offset's k counters (clearing bits that reach zero) and increment the
+// new offset's (setting bits). All positions derive from the single
+// digest d. A saturated counter fails the update before anything
+// changes.
+func (a *CountingAssociation) update(e []byte, d hashing.Digest, bit uint64, insert bool) error {
+	slot := a.sets.Lookup(e, d)
+	old := a.sets.Value(slot)
+	next := old | bit
+	switch {
+	case insert && old&bit != 0:
+		return nil // already a member
+	case !insert && old&bit == 0:
+		return ErrNotStored
+	case !insert:
+		next = old &^ bit
 	}
-	if newRegion != RegionNone {
+	if newRegion := regionOf(next); newRegion != RegionNone {
 		o := a.offsetFor(d, newRegion)
-		// Check saturation up front so failures leave state untouched
-		// (aside from the set-table mutation, which the caller observes
-		// via the error and can undo; encoding and tables stay in sync
-		// for all other elements).
 		for i := 0; i < a.k; i++ {
 			p := a.fam.ModFromDigest(i, d, a.m) + o
 			if a.counts.Peek(p) == a.counts.Max() {
@@ -163,7 +165,7 @@ func (a *CountingAssociation) transition(e []byte, d hashing.Digest, mutate func
 			a.bits.Set(p)
 		}
 	}
-	if oldRegion != RegionNone {
+	if oldRegion := regionOf(old); oldRegion != RegionNone {
 		o := a.offsetFor(d, oldRegion)
 		for i := 0; i < a.k; i++ {
 			p := a.fam.ModFromDigest(i, d, a.m) + o
@@ -172,18 +174,34 @@ func (a *CountingAssociation) transition(e []byte, d hashing.Digest, mutate func
 			}
 		}
 	}
+	if next == 0 {
+		a.sets.Remove(slot)
+	} else {
+		a.sets.Store(slot, e, next)
+	}
+	a.count(old, -1)
+	a.count(next, 1)
 	return nil
 }
 
-// truthRegion derives e's atomic region from the backing tables.
-func (a *CountingAssociation) truthRegion(e []byte) Region {
-	in1, in2 := a.t1.Contains(e), a.t2.Contains(e)
-	switch {
-	case in1 && in2:
+// count adds delta to the set sizes a sets value contributes to.
+func (a *CountingAssociation) count(v uint64, delta int) {
+	if v&inS1 != 0 {
+		a.n1 += delta
+	}
+	if v&inS2 != 0 {
+		a.n2 += delta
+	}
+}
+
+// regionOf maps a sets value to e's atomic region.
+func regionOf(v uint64) Region {
+	switch v {
+	case inS1 | inS2:
 		return RegionBoth
-	case in1:
+	case inS1:
 		return RegionS1Only
-	case in2:
+	case inS2:
 		return RegionS2Only
 	default:
 		return RegionNone
@@ -217,15 +235,33 @@ func (a *CountingAssociation) Query(e []byte) Region {
 	return a.QueryDigest(a.fam.Digest(e))
 }
 
-// QueryDigest answers Query for the element whose digest is d.
+// QueryDigest answers Query for the element whose digest is d. Two
+// loops, one semantics, as in Membership.ContainsDigest: the inlinable
+// uncounted window read when no access counter is attached, the counted
+// Window otherwise. Keep the loop bodies in lockstep.
 func (a *CountingAssociation) QueryDigest(d hashing.Digest) Region {
 	o1 := a.offset1(d)
 	o2 := o1 + hashing.Reduce(a.fam.FromDigest(a.k+1, d), a.halfRange) + 1
+	if a.bits.Counter() != nil {
+		return a.queryDigestCounted(d, o1, o2)
+	}
+	fam, bits, m, winMask := a.fam, a.bits, a.m, a.winMask
+	cand := RegionS1Only | RegionBoth | RegionS2Only
+	for i, k := 0, a.k; i < k && cand != RegionNone; i++ {
+		win := bits.WindowUncounted(fam.ModFromDigest(i, d, m), winMask)
+		// Branchless pruning; see Association.Query.
+		survived := Region(win&1) |
+			Region(win>>uint(o1)&1)<<1 |
+			Region(win>>uint(o2)&1)<<2
+		cand &= survived
+	}
+	return cand
+}
 
+func (a *CountingAssociation) queryDigestCounted(d hashing.Digest, o1, o2 int) Region {
 	cand := RegionS1Only | RegionBoth | RegionS2Only
 	for i := 0; i < a.k && cand != RegionNone; i++ {
 		win := a.bits.Window(a.fam.ModFromDigest(i, d, a.m), a.wbar)
-		// Branchless pruning; see Association.Query.
 		survived := Region(win&1) |
 			Region(win>>uint(o1)&1)<<1 |
 			Region(win>>uint(o2)&1)<<2

@@ -220,3 +220,30 @@ func BenchmarkCountingAssociationInsertS1(b *testing.B) {
 		_ = a.InsertS1(elems[i&65535])
 	}
 }
+
+// TestCountingAssociationSaturationLeavesFilterUnchanged: an insert
+// refused for a saturated counter changes neither the sets nor the
+// encoding, so the refused element can be neither deleted nor counted.
+func TestCountingAssociationSaturationLeavesFilterUnchanged(t *testing.T) {
+	// m = 1, k = 1 and 1-bit counters: every S1−S2 encoding shares
+	// one counter, which the first insert saturates.
+	a, err := NewCountingAssociation(1, 1, WithCounterWidth(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.InsertS1([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.InsertS1([]byte("b")); !errors.Is(err, ErrCounterSaturated) {
+		t.Fatalf("insert onto a saturated counter = %v, want ErrCounterSaturated", err)
+	}
+	if a.N1() != 1 {
+		t.Fatalf("N1 = %d after a refused insert, want 1", a.N1())
+	}
+	if err := a.DeleteS1([]byte("b")); !errors.Is(err, ErrNotStored) {
+		t.Fatalf("delete of the refused element = %v, want ErrNotStored", err)
+	}
+	if r := a.Query([]byte("a")); !r.Contains(RegionS1Only) {
+		t.Fatalf("stored element answered %v", r)
+	}
+}

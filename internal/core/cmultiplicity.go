@@ -88,17 +88,6 @@ func (f *CountingMultiplicity) Unsafe() bool { return f.table == nil }
 // C returns the maximum multiplicity.
 func (f *CountingMultiplicity) C() int { return f.c }
 
-// current returns e's multiplicity as the update path sees it: exact
-// from the hash table in safe mode, queried from B (via d) in unsafe
-// mode.
-func (f *CountingMultiplicity) current(e []byte, d hashing.Digest) int {
-	if f.table != nil {
-		v, _ := f.table.Get(e)
-		return int(v)
-	}
-	return f.CountDigest(d)
-}
-
 // Insert increments e's multiplicity. It returns ErrCountOverflow when
 // the multiplicity would exceed c, and ErrCounterSaturated when a
 // counter in C would overflow; in both cases the filter is unchanged.
@@ -108,22 +97,17 @@ func (f *CountingMultiplicity) Insert(e []byte) error {
 
 // InsertDigest is Insert for a caller that already digested e (the
 // sharded layer). d must be e's hashing.KeyDigest; the raw key is
-// still needed for the backing hash table.
+// still needed for the backing hash table, which is probed once.
 func (f *CountingMultiplicity) InsertDigest(e []byte, d hashing.Digest) error {
-	z := f.current(e, d)
-	if z+1 > f.c {
-		return ErrCountOverflow
+	if f.table == nil {
+		return f.move(d, f.CountDigest(d), 1)
 	}
-	if err := f.checkHeadroom(d, z); err != nil {
+	slot := f.table.Lookup(e, d)
+	z := int(f.table.Value(slot))
+	if err := f.move(d, z, 1); err != nil {
 		return err
 	}
-	if z > 0 {
-		f.removeEncoding(d, z)
-	}
-	f.addEncoding(d, z+1)
-	if f.table != nil {
-		f.table.Add(e, 1)
-	}
+	f.table.Store(slot, e, uint64(z+1))
 	return nil
 }
 
@@ -135,30 +119,55 @@ func (f *CountingMultiplicity) Delete(e []byte) error {
 
 // DeleteDigest is Delete for an already digested key.
 func (f *CountingMultiplicity) DeleteDigest(e []byte, d hashing.Digest) error {
-	z := f.current(e, d)
-	if z == 0 {
-		return ErrNotStored
+	if f.table == nil {
+		return f.move(d, f.CountDigest(d), -1)
 	}
-	if z > 1 {
-		if err := f.checkHeadroom(d, z); err != nil {
-			return err
-		}
+	slot := f.table.Lookup(e, d)
+	z := int(f.table.Value(slot))
+	if err := f.move(d, z, -1); err != nil {
+		return err
 	}
-	f.removeEncoding(d, z)
-	if z > 1 {
-		f.addEncoding(d, z-1)
-	}
-	if f.table != nil {
-		f.table.Sub(e, 1)
+	if z == 1 {
+		f.table.Remove(slot)
+	} else {
+		f.table.Store(slot, e, uint64(z-1))
 	}
 	return nil
 }
 
-// checkHeadroom verifies no destination counter of a z→z±1 move is
-// saturated, so failed updates leave the filter untouched.
-func (f *CountingMultiplicity) checkHeadroom(d hashing.Digest, z int) error {
+// move re-encodes the element digested as d from multiplicity z to
+// z+step (step ±1), z being the multiplicity the update path sees:
+// exact from the hash table in safe mode, queried from B in unsafe
+// mode. It fails with the filter unchanged on overflow, on deleting an
+// absent element, and on a saturated destination counter.
+func (f *CountingMultiplicity) move(d hashing.Digest, z, step int) error {
+	switch {
+	case step > 0 && z+1 > f.c:
+		return ErrCountOverflow
+	case step < 0 && z == 0:
+		return ErrNotStored
+	}
+	if z+step > 0 {
+		if err := f.checkHeadroom(d, z+step); err != nil {
+			return err
+		}
+	}
+	if z > 0 {
+		f.removeEncoding(d, z)
+	}
+	if z+step > 0 {
+		f.addEncoding(d, z+step)
+	}
+	return nil
+}
+
+// checkHeadroom verifies no counter of multiplicity count's encoding —
+// the destination of a move — is saturated, so failed updates leave
+// the filter untouched.
+func (f *CountingMultiplicity) checkHeadroom(d hashing.Digest, count int) error {
+	o := count - 1
 	for i := 0; i < f.k; i++ {
-		if f.counts.Peek(f.fam.ModFromDigest(i, d, f.m)+z) == f.counts.Max() {
+		if f.counts.Peek(f.fam.ModFromDigest(i, d, f.m)+o) == f.counts.Max() {
 			return ErrCounterSaturated
 		}
 	}
@@ -191,17 +200,23 @@ func (f *CountingMultiplicity) removeEncoding(d hashing.Digest, count int) {
 }
 
 // candidateMask intersects the k c-bit windows over B for the element
-// digested as d.
+// digested as d. Two loops, one semantics, as in
+// Membership.ContainsDigest: the inlinable uncounted window read when
+// no access counter is attached, the counted Window otherwise. Keep
+// the loop bodies in lockstep.
 func (f *CountingMultiplicity) candidateMask(d hashing.Digest) uint64 {
-	var all uint64
-	if f.c == 64 {
-		all = ^uint64(0)
-	} else {
-		all = 1<<uint(f.c) - 1
+	all := ^uint64(0) >> (64 - uint(f.c))
+	if f.bits.Counter() != nil {
+		cand := all
+		for i := 0; i < f.k && cand != 0; i++ {
+			cand &= f.bits.Window(f.fam.ModFromDigest(i, d, f.m), f.c)
+		}
+		return cand
 	}
+	fam, bits, m := f.fam, f.bits, f.m
 	cand := all
-	for i := 0; i < f.k && cand != 0; i++ {
-		cand &= f.bits.Window(f.fam.ModFromDigest(i, d, f.m), f.c)
+	for i, k := 0, f.k; i < k && cand != 0; i++ {
+		cand &= bits.WindowUncounted(fam.ModFromDigest(i, d, m), all)
 	}
 	return cand
 }

@@ -226,3 +226,35 @@ func BenchmarkCountingMultiplicityInsert(b *testing.B) {
 		_ = f.Insert(elems[i%65536])
 	}
 }
+
+// TestCountingMultiplicityDeleteChecksDestinationHeadroom: a delete
+// z → z−1 whose destination counters are saturated is refused with the
+// filter unchanged. Applying it would share the saturated counter
+// between two encodings, and deleting the other element would then
+// clear a bit of this one — a false negative.
+func TestCountingMultiplicityDeleteChecksDestinationHeadroom(t *testing.T) {
+	// m = 1, k = 1 and 1-bit counters: multiplicity z of any element
+	// lives in counter z−1.
+	f, err := NewCountingMultiplicity(1, 1, 2, WithCounterWidth(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := []byte("a"), []byte("b")
+	for _, e := range [][]byte{a, a, b} { // a at 2 (counter 1), b at 1 (counter 0)
+		if err := f.Insert(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Delete(a); !errors.Is(err, ErrCounterSaturated) {
+		t.Fatalf("delete onto a saturated counter = %v, want ErrCounterSaturated", err)
+	}
+	if got := f.ExactCount(a); got != 2 {
+		t.Fatalf("ExactCount(a) = %d after a refused delete, want 2", got)
+	}
+	if err := f.Delete(b); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Count(a); got < 2 {
+		t.Fatalf("Count(a) = %d, want ≥ 2 (no underestimate)", got)
+	}
+}

@@ -284,8 +284,8 @@ func (a *CountingAssociation) MarshalBinary() ([]byte, error) {
 	buf = uvarints(buf, uint64(a.m), uint64(a.k), uint64(a.wbar), a.seed)
 	buf = a.bits.AppendBinary(buf)
 	buf = a.counts.AppendBinary(buf)
-	buf = a.t1.AppendBinary(buf)
-	return a.t2.AppendBinary(buf), nil
+	buf = a.sets.AppendSet(buf, inS1)       // T1
+	return a.sets.AppendSet(buf, inS2), nil // T2
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
@@ -313,12 +313,10 @@ func (a *CountingAssociation) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	t1 := hashtable.New(seed + 1)
-	if buf, err = t1.DecodeInto(buf); err != nil {
+	if buf, err = fresh.sets.DecodeSetInto(buf, inS1); err != nil {
 		return err
 	}
-	t2 := hashtable.New(seed + 2)
-	rest, err := t2.DecodeInto(buf)
+	rest, err := fresh.sets.DecodeSetInto(buf, inS2)
 	if err != nil {
 		return err
 	}
@@ -328,7 +326,11 @@ func (a *CountingAssociation) UnmarshalBinary(data []byte) error {
 	if bits.Len() != fresh.bits.Len() || counts.Len() != fresh.counts.Len() {
 		return fmt.Errorf("core: array lengths do not match geometry")
 	}
-	fresh.bits, fresh.counts, fresh.t1, fresh.t2 = bits, counts, t1, t2
+	fresh.sets.Range(func(_ []byte, v uint64) bool {
+		fresh.count(v, 1)
+		return true
+	})
+	fresh.bits, fresh.counts = bits, counts
 	*a = *fresh
 	return nil
 }

@@ -55,7 +55,7 @@ func TestGrowthKeepsAllKeys(t *testing.T) {
 			t.Fatalf("Get(key-%d) = (%d,%v)", i, v, ok)
 		}
 	}
-	// With doubling at load factor 4 the chains stay short.
+	// With doubling at load factor 1 the chains stay short.
 	if got := tab.MaxChainLength(); got > 16 {
 		t.Fatalf("MaxChainLength = %d, suspiciously long", got)
 	}
@@ -204,5 +204,54 @@ func BenchmarkGet(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tab.Get(keys[i&1023])
+	}
+}
+
+func TestFreeListReuse(t *testing.T) {
+	tab := New(4)
+	for i := 0; i < 3000; i++ {
+		tab.Put([]byte(fmt.Sprintf("key-%d", i)), 1)
+	}
+	used := tab.used
+	for i := 0; i < 1000; i++ {
+		tab.Delete([]byte(fmt.Sprintf("key-%d", i)))
+	}
+	for i := 0; i < 1000; i++ {
+		tab.Put([]byte(fmt.Sprintf("new-%d", i)), 2)
+	}
+	if tab.used != used {
+		t.Fatalf("node slots %d → %d: deleted nodes were not reused", used, tab.used)
+	}
+	if tab.Len() != 3000 {
+		t.Fatalf("Len = %d, want 3000", tab.Len())
+	}
+}
+
+func TestArenaCompaction(t *testing.T) {
+	tab := New(6)
+	long := func(i int) []byte { return []byte(fmt.Sprintf("%0200d", i)) }
+	for i := 0; i < 2000; i++ {
+		tab.Put(long(i), uint64(i))
+	}
+	arenaBytes := func() (n int) {
+		for _, c := range tab.arena {
+			n += cap(c)
+		}
+		return n
+	}
+	before := arenaBytes()
+	for i := 0; i < 1900; i++ {
+		tab.Delete(long(i))
+	}
+	if after := arenaBytes(); after > before/4 {
+		t.Fatalf("arena holds %d bytes after deleting 95%% of %d: not compacted", after, before)
+	}
+	if tab.arenaLive != 100*200 {
+		t.Fatalf("arenaLive = %d, want %d", tab.arenaLive, 100*200)
+	}
+	for i := 1900; i < 2000; i++ {
+		if v, ok := tab.Get(long(i)); !ok || v != uint64(i) {
+			t.Fatalf("long key %d after compaction: (%d,%v)", i, v, ok)
+		}
 	}
 }

@@ -93,18 +93,18 @@ func (s *Server) ServeShBP(ctx context.Context, ln net.Listener) error {
 
 // serveShBPConn runs one connection's request loop. A protocol error
 // is answered with a bad-request frame and closes the connection (the
-// stream position is unrecoverable); op-level errors are answered in
-// band and the loop continues. With cfg.ShBPIdleTimeout set, a
-// connection that completes no frame within the timeout is reaped —
-// the deadline re-arms before every frame read, so an active pipelined
-// connection never trips it while a dialed-and-silent one cannot hold
-// its goroutine and buffers forever.
+// stream position is unrecoverable); op-level errors, and answers too
+// large for one frame, are answered in band and the loop continues.
+// With cfg.ShBPIdleTimeout set, a connection that completes no frame
+// within the timeout is reaped — the deadline re-arms before every
+// frame read, so an active pipelined connection never trips it while
+// a dialed-and-silent one cannot hold its goroutine and buffers
+// forever.
 func (s *Server) serveShBPConn(conn net.Conn) error {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	var (
 		frame []byte
-		out   []byte
 		req   wire.Request
 		resp  wire.Response
 		sc    dispatchScratch
@@ -131,17 +131,16 @@ func (s *Server) serveShBPConn(conn net.Conn) error {
 			// drop the connection in case the client is confused about
 			// the protocol version.
 			resp = wire.Response{Status: wire.StatusBadRequest, Op: req.Op, Msg: derr.Error()}
-			if out, err = wire.AppendResponse(out[:0], &resp); err == nil {
-				bw.Write(out)
+			if sc.out, err = wire.AppendResponse(sc.out[:0], &resp); err == nil {
+				bw.Write(sc.out)
 				bw.Flush()
 			}
 			return derr
 		}
-		s.handleFrame(&req, &resp, &sc)
-		if out, err = wire.AppendResponse(out[:0], &resp); err != nil {
+		if err = s.handleFrame(&req, &resp, &sc); err != nil {
 			return fmt.Errorf("encoding %s response: %w", wire.OpName(req.Op), err)
 		}
-		if _, err = bw.Write(out); err != nil {
+		if _, err = bw.Write(sc.out); err != nil {
 			return err
 		}
 		// Flush when no further request is already buffered, so
@@ -154,24 +153,26 @@ func (s *Server) serveShBPConn(conn net.Conn) error {
 	}
 }
 
-// handleFrame admits and dispatches one decoded frame, recording its
-// latency, request counter and in-flight gauge. The in-flight frame
-// cap sheds before dispatch, writes first; the shed answer is in-band
-// — the connection stays usable, so a backoff-and-retry client keeps
-// its pipeline. Instrumentation is a time read plus a handful of
-// atomic adds, zero allocations (metrics_alloc_test.go) — except for
-// OpMetrics itself, which is served entirely unrecorded so a scrape
-// never changes what the next scrape (on either transport) renders.
-func (s *Server) handleFrame(req *wire.Request, resp *wire.Response, sc *dispatchScratch) {
+// handleFrame admits, dispatches and encodes one decoded frame into
+// sc.out, recording its latency, request counter and in-flight gauge.
+// The in-flight frame cap sheds before dispatch, writes first; the shed
+// answer is in-band — the connection stays usable, so a
+// backoff-and-retry client keeps its pipeline. The request counter
+// sees the status actually sent, an oversize refusal included.
+// Instrumentation is a time read plus a handful of atomic adds, zero
+// allocations (metrics_alloc_test.go) — except for OpMetrics itself,
+// which is served entirely unrecorded so a scrape never changes what
+// the next scrape (on either transport) renders.
+func (s *Server) handleFrame(req *wire.Request, resp *wire.Response, sc *dispatchScratch) error {
 	met := s.met
 	if met == nil || req.Op == wire.OpMetrics {
 		if gerr := s.frames.acquire(writeOp(req.Op)); gerr != nil {
 			*resp = wire.Response{Status: wire.StatusOverloaded, Op: req.Op, Msg: gerr.Error()}
-			return
+		} else {
+			s.dispatch(req, resp, sc)
+			s.frames.release()
 		}
-		s.dispatch(req, resp, sc)
-		s.frames.release()
-		return
+		return sc.encode(resp)
 	}
 	start := time.Now()
 	if gerr := s.frames.acquire(writeOp(req.Op)); gerr != nil {
@@ -186,9 +187,26 @@ func (s *Server) handleFrame(req *wire.Request, resp *wire.Response, sc *dispatc
 	if h := met.shbpDur[req.Op]; h != nil {
 		h.Observe(time.Since(start))
 	}
+	err := sc.encode(resp)
 	if c := met.shbpReqs[req.Op][statusIndex(resp.Status)]; c != nil {
 		c.Inc()
 	}
+	return err
+}
+
+// encode encodes resp as one frame into sc.out. An answer larger than
+// wire.MaxFrame — the envelope of a tenant bigger than the frame
+// limit — is replaced by an in-band StatusConflict naming the limit,
+// the same error the HTTP client reports for such a body, so the
+// client learns why and the connection keeps serving.
+func (sc *dispatchScratch) encode(resp *wire.Response) error {
+	var err error
+	if sc.out, err = wire.AppendResponse(sc.out[:0], resp); err == nil || resp.Status != wire.StatusOK {
+		return err
+	}
+	*resp = wire.Response{Status: wire.StatusConflict, Op: resp.Op, Msg: wire.OversizeMsg(resp.Op)}
+	sc.out, err = wire.AppendResponse(sc.out[:0], resp)
+	return err
 }
 
 // dispatchScratch is per-connection reusable result storage, so the
@@ -197,6 +215,7 @@ type dispatchScratch struct {
 	bools   []bool
 	counts  []int
 	regions []core.Region
+	out     []byte // the encoded response frame
 }
 
 // dispatch answers one decoded request into resp. It never returns an

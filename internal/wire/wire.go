@@ -119,6 +119,13 @@ var opNames = map[byte]string{
 	OpMultiplicityDump:   "multiplicity-dump",
 }
 
+// OversizeMsg is the error message for an answer to op that exceeds
+// MaxFrame (the envelope of a tenant larger than the frame limit).
+// Both transports report it identically, with StatusConflict.
+func OversizeMsg(op byte) string {
+	return fmt.Sprintf("%s answer exceeds the %d-byte frame limit", OpName(op), MaxFrame)
+}
+
 // OpName returns the op code's wire name ("op-0x%02x" for unknown
 // codes).
 func OpName(op byte) string {
@@ -459,6 +466,10 @@ func AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 			}
 		case OpStats, OpNamespaceList, OpClusterMap, OpMetrics, OpMembershipDump,
 			OpMultiplicityDump, OpFreeze:
+			if len(resp.Blob) > MaxFrame {
+				// Refuse before copying an answer no frame can carry.
+				return dst[:lenAt], fmt.Errorf("wire: %d-byte blob exceeds the %d-byte frame limit", len(resp.Blob), MaxFrame)
+			}
 			dst = binary.AppendUvarint(dst, uint64(len(resp.Blob)))
 			dst = append(dst, resp.Blob...)
 		default:
