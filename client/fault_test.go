@@ -243,6 +243,12 @@ func TestRetryNeverRepeatsCountingWrites(t *testing.T) {
 	rc := c.WithRetry(client.RetryPolicy{MaxRetries: 5, BaseDelay: time.Millisecond})
 
 	key := []byte("counted-once")
+	// Dial returns once TCP connects, but the proxy registers the
+	// connection later, in its accept goroutine; a round trip first
+	// makes sure CloseConns has a connection to cut.
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
 	p.CloseConns() // the first attempt fails; a retry would double-count
 	err = rc.Namespace("").Counter().InsertCount(key, 1)
 	if err == nil {

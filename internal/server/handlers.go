@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,73 +24,28 @@ import (
 // split by the client.
 const maxBodyBytes = 32 << 20
 
-// keyBatch is the common request shape: a batch of element keys, read
-// as raw bytes ("encoding": "raw", the default) or base64
-// ("encoding": "base64") for binary IDs like the paper's 13-byte
-// 5-tuple flow IDs.
-type keyBatch struct {
-	Keys     []string `json:"keys"`
-	Encoding string   `json:"encoding,omitempty"`
-}
-
-// countedItem is one multiplicity update: count defaults to 1.
-type countedItem struct {
-	Key   string `json:"key"`
-	Count int    `json:"count,omitempty"`
-}
-
-type countedBatch struct {
-	Items    []countedItem `json:"items"`
-	Encoding string        `json:"encoding,omitempty"`
-}
-
-// setBatch targets one of the two association sets.
-type setBatch struct {
-	Set      int      `json:"set"`
-	Keys     []string `json:"keys"`
-	Encoding string   `json:"encoding,omitempty"`
-}
-
-// decodeKey maps one wire key to element bytes.
-func decodeKey(key, encoding string) ([]byte, error) {
-	switch encoding {
-	case "", "raw":
-		return []byte(key), nil
-	case "base64":
-		return base64.StdEncoding.DecodeString(key)
-	default:
-		return nil, fmt.Errorf("unknown encoding %q (want raw or base64)", encoding)
-	}
-}
-
-// decodeKeys maps the wire keys to element byte strings.
-func decodeKeys(keys []string, encoding string) ([][]byte, error) {
-	out := make([][]byte, len(keys))
-	for i, k := range keys {
-		b, err := decodeKey(k, encoding)
-		if err != nil {
-			return nil, fmt.Errorf("key %d: %w", i, err)
-		}
-		out[i] = b
-	}
-	return out, nil
-}
-
 // readJSON decodes the request body into dst, rejecting oversized and
 // malformed bodies.
 func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return false
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, errors.New("trailing data after JSON body"))
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), dst); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return false
 	}
 	return true
+}
+
+// decodeStrict decodes one JSON value from src into dst, refusing
+// unknown fields and trailing data.
+func decodeStrict(src io.Reader, dst any) error {
+	dec := json.NewDecoder(src)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return fmt.Errorf("decoding request: %w", err)
+	}
+	if dec.More() {
+		return errors.New("trailing data after JSON body")
+	}
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -134,89 +88,43 @@ func (s *Server) nsMembershipAdd(ns *namespace, w http.ResponseWriter, r *http.R
 		writeError(w, http.StatusConflict, err)
 		return
 	}
-	var req keyBatch
-	if !readJSON(w, r, &req) {
+	b := getHTTPBody()
+	defer b.release()
+	if !b.read(w, r, shapeKeys) {
 		return
 	}
-	keys, err := decodeKeys(req.Keys, req.Encoding)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := ns.admit(len(keys), true); err != nil {
+	if err := ns.admit(len(b.keys), true); err != nil {
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	}
 	// The batch path takes each shard lock once for the whole request
 	// instead of once per key.
-	if err := ns.mem.AddAll(keys); err != nil {
+	if err := ns.mem.AddAll(b.keys); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	ns.stats.membershipAdd.Add(uint64(len(keys)))
-	writeJSON(w, http.StatusOK, map[string]int{"added": len(keys)})
+	ns.stats.membershipAdd.Add(uint64(len(b.keys)))
+	b.out = appendTally(b.out[:0], "added", len(b.keys))
+	b.reply(w)
 }
 
 func (s *Server) nsMembershipContains(ns *namespace, w http.ResponseWriter, r *http.Request) {
-	var req keyBatch
-	if !readJSON(w, r, &req) {
+	b := getHTTPBody()
+	defer b.release()
+	if !b.read(w, r, shapeKeys) {
 		return
 	}
-	keys, err := decodeKeys(req.Keys, req.Encoding)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := ns.admit(len(keys), false); err != nil {
+	if err := ns.admit(len(b.keys), false); err != nil {
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	}
-	results := ns.mem.ContainsAll(make([]bool, 0, len(keys)), keys)
-	ns.stats.membershipContains.Add(uint64(len(keys)))
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
+	b.bools = ns.mem.ContainsAll(b.bools[:0], b.keys)
+	ns.stats.membershipContains.Add(uint64(len(b.keys)))
+	b.out = appendBools(b.out[:0], b.bools)
+	b.reply(w)
 }
 
 // --- association ----------------------------------------------------------
-
-// regionAnswer is the JSON shape of one classify result. Candidates
-// lists the possible atomic regions ("s1-only", "both", "s2-only"); an
-// empty list is a definite non-member of both sets. Clear mirrors the
-// paper's "clear answer" (exactly one candidate). Mask is the raw
-// candidate-region bitmask (core.Region), the form the native client
-// round-trips; the v1 shim omits it for byte-compatibility.
-type regionAnswer struct {
-	Region     string   `json:"region"`
-	Candidates []string `json:"candidates"`
-	Clear      bool     `json:"clear"`
-	InS1       bool     `json:"in_s1"`
-	InS2       bool     `json:"in_s2"`
-	Mask       *uint8   `json:"mask,omitempty"`
-}
-
-func regionJSON(r core.Region, withMask bool) regionAnswer {
-	cands := make([]string, 0, 3)
-	if r.Contains(core.RegionS1Only) {
-		cands = append(cands, "s1-only")
-	}
-	if r.Contains(core.RegionBoth) {
-		cands = append(cands, "both")
-	}
-	if r.Contains(core.RegionS2Only) {
-		cands = append(cands, "s2-only")
-	}
-	ans := regionAnswer{
-		Region:     r.String(),
-		Candidates: cands,
-		Clear:      r.Clear(),
-		InS1:       r.InS1(),
-		InS2:       r.InS2(),
-	}
-	if withMask {
-		mask := uint8(r)
-		ans.Mask = &mask
-	}
-	return ans
-}
 
 // applySetBatch validates a setBatch and applies op1/op2 per key.
 func (s *Server) applySetBatch(ns *namespace, w http.ResponseWriter, r *http.Request, op1, op2 func([]byte) error) {
@@ -224,28 +132,20 @@ func (s *Server) applySetBatch(ns *namespace, w http.ResponseWriter, r *http.Req
 		writeError(w, http.StatusConflict, err)
 		return
 	}
-	var req setBatch
-	if !readJSON(w, r, &req) {
+	b := getHTTPBody()
+	defer b.release()
+	if !b.read(w, r, shapeSet) {
 		return
 	}
-	if req.Set != 1 && req.Set != 2 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("set must be 1 or 2, got %d", req.Set))
-		return
-	}
-	keys, err := decodeKeys(req.Keys, req.Encoding)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := ns.admit(len(keys), true); err != nil {
+	if err := ns.admit(len(b.keys), true); err != nil {
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	}
 	op := op1
-	if req.Set == 2 {
+	if b.set == 2 {
 		op = op2
 	}
-	for i, k := range keys {
+	for i, k := range b.keys {
 		if err := op(k); err != nil {
 			// Earlier keys in the batch stay applied; report the split
 			// point so the client can resume.
@@ -256,8 +156,9 @@ func (s *Server) applySetBatch(ns *namespace, w http.ResponseWriter, r *http.Req
 			return
 		}
 	}
-	ns.stats.associationUpdate.Add(uint64(len(keys)))
-	writeJSON(w, http.StatusOK, map[string]int{"applied": len(keys)})
+	ns.stats.associationUpdate.Add(uint64(len(b.keys)))
+	b.out = appendTally(b.out[:0], "applied", len(b.keys))
+	b.reply(w)
 }
 
 func (s *Server) nsAssociationAdd(ns *namespace, w http.ResponseWriter, r *http.Request) {
@@ -269,64 +170,49 @@ func (s *Server) nsAssociationRemove(ns *namespace, w http.ResponseWriter, r *ht
 }
 
 func (s *Server) nsAssociationClassify(ns *namespace, w http.ResponseWriter, r *http.Request) {
-	var req keyBatch
-	if !readJSON(w, r, &req) {
+	b := getHTTPBody()
+	defer b.release()
+	if !b.read(w, r, shapeKeys) {
 		return
 	}
-	keys, err := decodeKeys(req.Keys, req.Encoding)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := ns.admit(len(keys), false); err != nil {
+	if err := ns.admit(len(b.keys), false); err != nil {
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	}
+	b.regions = ns.assoc.QueryAll(b.regions[:0], b.keys)
+	ns.stats.associationQuery.Add(uint64(len(b.keys)))
 	// Only the v2 route carries the raw mask; the v1 response shape is
 	// frozen.
-	withMask := r.PathValue("ns") != ""
-	regions := ns.assoc.QueryAll(make([]core.Region, 0, len(keys)), keys)
-	results := make([]regionAnswer, len(keys))
-	for i, r := range regions {
-		results[i] = regionJSON(r, withMask)
-	}
-	ns.stats.associationQuery.Add(uint64(len(keys)))
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
+	b.out = appendRegions(b.out[:0], b.regions, r.PathValue("ns") != "")
+	b.reply(w)
 }
 
 // --- multiplicity ---------------------------------------------------------
 
 // applyCountedBatch applies op count-times per item (count defaults to
-// 1).
+// 1). Every item is decoded and checked before the first update, so a
+// malformed request is refused whole and never left partly applied.
 func (s *Server) applyCountedBatch(ns *namespace, w http.ResponseWriter, r *http.Request, op func([]byte) error) {
 	if err := ns.writable(); err != nil {
 		writeError(w, http.StatusConflict, err)
 		return
 	}
-	var req countedBatch
-	if !readJSON(w, r, &req) {
+	b := getHTTPBody()
+	defer b.release()
+	if !b.read(w, r, shapeItems) {
 		return
 	}
 	// The quota charges per key, not per increment: admission meters
 	// request traffic, capacity metering is the filters' MaxCount.
-	if err := ns.admit(len(req.Items), true); err != nil {
+	if err := ns.admit(len(b.keys), true); err != nil {
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	}
 	applied := 0
-	for i, item := range req.Items {
-		key, err := decodeKey(item.Key, req.Encoding)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("item %d: %w", i, err))
-			return
-		}
-		count := item.Count
+	for i, key := range b.keys {
+		count := b.itemCounts[i]
 		if count == 0 {
 			count = 1
-		}
-		if count < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("item %d: negative count %d", i, count))
-			return
 		}
 		for j := 0; j < count; j++ {
 			if err := op(key); err != nil {
@@ -340,7 +226,8 @@ func (s *Server) applyCountedBatch(ns *namespace, w http.ResponseWriter, r *http
 		}
 	}
 	ns.stats.multiplicityUpdate.Add(uint64(applied))
-	writeJSON(w, http.StatusOK, map[string]int{"applied": applied})
+	b.out = appendTally(b.out[:0], "applied", applied)
+	b.reply(w)
 }
 
 func (s *Server) nsMultiplicityAdd(ns *namespace, w http.ResponseWriter, r *http.Request) {
@@ -352,22 +239,19 @@ func (s *Server) nsMultiplicityRemove(ns *namespace, w http.ResponseWriter, r *h
 }
 
 func (s *Server) nsMultiplicityCount(ns *namespace, w http.ResponseWriter, r *http.Request) {
-	var req keyBatch
-	if !readJSON(w, r, &req) {
+	b := getHTTPBody()
+	defer b.release()
+	if !b.read(w, r, shapeKeys) {
 		return
 	}
-	keys, err := decodeKeys(req.Keys, req.Encoding)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := ns.admit(len(keys), false); err != nil {
+	if err := ns.admit(len(b.keys), false); err != nil {
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	}
-	counts := ns.mult.CountAll(make([]int, 0, len(keys)), keys)
-	ns.stats.multiplicityQuery.Add(uint64(len(keys)))
-	writeJSON(w, http.StatusOK, map[string]any{"counts": counts})
+	b.counts = ns.mult.CountAll(b.counts[:0], b.keys)
+	ns.stats.multiplicityQuery.Add(uint64(len(b.keys)))
+	b.out = appendCounts(b.out[:0], b.counts)
+	b.reply(w)
 }
 
 // --- snapshot -------------------------------------------------------------

@@ -1,0 +1,523 @@
+package server
+
+import (
+	"bytes"
+	"encoding/base64"
+	"fmt"
+	"io"
+	"net/http"
+	"slices"
+	"strconv"
+	"sync"
+	"unicode/utf8"
+
+	"shbf/internal/core"
+)
+
+// The data-plane HTTP body codec (DESIGN.md "HTTP body codec"). The
+// membership, association and multiplicity routes, v1 and v2, decode
+// their bodies with a hand-written parser for a strict canonical
+// subset of what the encoding/json path accepts:
+//
+//   - one object with nothing but JSON whitespace around it;
+//   - field names spelled exactly as the struct tags below, each at
+//     most once;
+//   - strings without escapes or control characters and of valid
+//     UTF-8, whose bytes are therefore exactly the decoded string;
+//   - integers with no fraction, exponent or leading zero, of at
+//     most 18 digits;
+//   - no null.
+//
+// Any other body is decoded by encoding/json over the same bytes into
+// the structs below, so every error text and every leniency of that
+// decoder (case-insensitive names, repeated fields, escapes, what
+// Decoder.More ignores after the object) stays what it always was.
+// Raw keys point into the body and base64 keys decode into one arena;
+// both live in a pooled httpBody until the handler returns. That is
+// safe for the reason ShBP keys may point into their frame: no filter
+// keeps a key slice (the key-storing kinds copy keys into their
+// tables). Success answers are appended into one buffer and written
+// with one Write; error answers keep writeJSON.
+
+// keyBatch is the common request shape: a batch of element keys, read
+// as raw bytes ("encoding": "raw", the default) or base64
+// ("encoding": "base64") for binary IDs like the paper's 13-byte
+// 5-tuple flow IDs.
+type keyBatch struct {
+	Keys     []string `json:"keys"`
+	Encoding string   `json:"encoding,omitempty"`
+}
+
+// countedItem is one multiplicity update: count defaults to 1.
+type countedItem struct {
+	Key   string `json:"key"`
+	Count int    `json:"count,omitempty"`
+}
+
+type countedBatch struct {
+	Items    []countedItem `json:"items"`
+	Encoding string        `json:"encoding,omitempty"`
+}
+
+// setBatch targets one of the two association sets.
+type setBatch struct {
+	Set      int      `json:"set"`
+	Keys     []string `json:"keys"`
+	Encoding string   `json:"encoding,omitempty"`
+}
+
+// bodyShape names a data-plane body's JSON form.
+type bodyShape uint8
+
+const (
+	shapeKeys  bodyShape = iota // keyBatch
+	shapeSet                    // setBatch
+	shapeItems                  // countedBatch
+)
+
+// httpBody is one data-plane request's decode and encode state,
+// pooled across requests.
+type httpBody struct {
+	in         []byte   // the request body
+	wire       [][]byte // the keys as sent: raw or base64 text
+	itemCounts []int    // shapeItems: each item's count as sent
+	encoding   []byte
+	set        int
+
+	arena []byte   // decoded base64 keys
+	keys  [][]byte // element keys: into in (raw) or arena (base64)
+
+	bools   []bool
+	counts  []int
+	regions []core.Region
+	out     []byte // the encoded answer
+}
+
+var httpBodies = sync.Pool{New: func() any { return new(httpBody) }}
+
+// maxPooledBody bounds the buffers a pooled httpBody keeps, so a rare
+// huge batch is left to the GC instead of pinning its buffers.
+const maxPooledBody = 1 << 20
+
+func getHTTPBody() *httpBody { return httpBodies.Get().(*httpBody) }
+
+// release returns b to the pool; nothing read from b may be used
+// afterwards.
+func (b *httpBody) release() {
+	if cap(b.in) > maxPooledBody || cap(b.arena) > maxPooledBody || cap(b.out) > maxPooledBody {
+		return
+	}
+	clear(b.wire) // drop references to keys the fallback allocated
+	clear(b.keys)
+	httpBodies.Put(b)
+}
+
+// read reads the request body and decodes it as shape into b.keys (and
+// b.set, b.itemCounts). When the body does not decode it answers 400 and
+// reports false, checking in the order the handlers always did: the
+// JSON, then the set, then each key in turn (for items, its key before
+// its count).
+func (b *httpBody) read(w http.ResponseWriter, r *http.Request, shape bodyShape) bool {
+	var err error
+	b.in, err = appendBody(b.in[:0], http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil || !b.parse(shape) {
+		err = b.decodeJSON(shape, err)
+	}
+	if err == nil && shape == shapeSet && b.set != 1 && b.set != 2 {
+		err = fmt.Errorf("set must be 1 or 2, got %d", b.set)
+	}
+	if err == nil {
+		err = b.decodeKeys(shape == shapeItems)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return false
+	}
+	return true
+}
+
+// appendBody appends everything r yields to dst and returns the error
+// that ended it, nil at EOF. The buffer grows only as bytes arrive, never
+// to a declared Content-Length, so a client cannot make the daemon hold
+// memory it never sends.
+func appendBody(dst []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, 512)
+		}
+		n, err := r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+}
+
+// decodeJSON decodes b.in with encoding/json into shape's struct, the
+// path of every body outside the canonical subset. rerr, the error
+// that ended the body read, is replayed after the bytes, so the
+// decoder sees the stream it would have read from the request.
+func (b *httpBody) decodeJSON(shape bodyShape, rerr error) error {
+	var src io.Reader = bytes.NewReader(b.in)
+	if rerr != nil {
+		src = io.MultiReader(src, errReader{rerr})
+	}
+	b.wire, b.itemCounts, b.set = b.wire[:0], b.itemCounts[:0], 0
+	var (
+		keys []string
+		enc  string
+	)
+	switch shape {
+	case shapeKeys:
+		var req keyBatch
+		if err := decodeStrict(src, &req); err != nil {
+			return err
+		}
+		keys, enc = req.Keys, req.Encoding
+	case shapeSet:
+		var req setBatch
+		if err := decodeStrict(src, &req); err != nil {
+			return err
+		}
+		keys, enc, b.set = req.Keys, req.Encoding, req.Set
+	case shapeItems:
+		var req countedBatch
+		if err := decodeStrict(src, &req); err != nil {
+			return err
+		}
+		enc = req.Encoding
+		for _, it := range req.Items {
+			b.wire = append(b.wire, []byte(it.Key))
+			b.itemCounts = append(b.itemCounts, it.Count)
+		}
+	}
+	for _, k := range keys {
+		b.wire = append(b.wire, []byte(k))
+	}
+	b.encoding = []byte(enc)
+	return nil
+}
+
+// errReader fails every Read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// decodeKeys maps b.wire to the element keys in b.keys: raw keys are
+// the wire bytes, base64 keys decode into b.arena. With items it also
+// refuses a negative count, so a counting write is validated whole
+// before any of it applies.
+func (b *httpBody) decodeKeys(items bool) error {
+	what := "key"
+	if items {
+		what = "item"
+	}
+	b.keys = b.keys[:0]
+	var arena []byte
+	b64 := false
+	switch string(b.encoding) {
+	case "", "raw":
+	case "base64":
+		n := 0
+		for _, k := range b.wire {
+			n += base64.StdEncoding.DecodedLen(len(k))
+		}
+		if cap(b.arena) < n {
+			b.arena = make([]byte, n)
+		}
+		arena, b64 = b.arena[:n], true
+	default:
+		if len(b.wire) > 0 {
+			return fmt.Errorf("%s 0: unknown encoding %q (want raw or base64)", what, b.encoding)
+		}
+	}
+	for i, k := range b.wire {
+		if b64 {
+			n, err := base64.StdEncoding.Decode(arena, k)
+			if err != nil {
+				return fmt.Errorf("%s %d: %w", what, i, err)
+			}
+			k, arena = arena[:n:n], arena[n:]
+		}
+		if items && b.itemCounts[i] < 0 {
+			return fmt.Errorf("item %d: negative count %d", i, b.itemCounts[i])
+		}
+		b.keys = append(b.keys, k)
+	}
+	return nil
+}
+
+// --- canonical-subset parser ----------------------------------------------
+
+// parse decodes b.in as shape, reporting false for any body outside
+// the canonical subset.
+func (b *httpBody) parse(shape bodyShape) bool {
+	b.wire, b.itemCounts, b.encoding, b.set = b.wire[:0], b.itemCounts[:0], nil, 0
+	s := scanner{b: b.in}
+	var seenKeys, seenEncoding, seenSet bool
+	ok := s.object(func(name []byte) (ok bool) {
+		switch {
+		case string(name) == "encoding" && !seenEncoding:
+			seenEncoding = true
+			b.encoding, ok = s.str()
+		case string(name) == "set" && shape == shapeSet && !seenSet:
+			seenSet = true
+			b.set, ok = s.int()
+		case string(name) == "keys" && shape != shapeItems && !seenKeys:
+			seenKeys = true
+			ok = s.array(func() (ok bool) {
+				var k []byte
+				k, ok = s.str()
+				b.wire = append(b.wire, k)
+				return ok
+			})
+		case string(name) == "items" && shape == shapeItems && !seenKeys:
+			seenKeys = true
+			ok = s.array(func() bool { return b.parseItem(&s) })
+		}
+		return ok
+	})
+	s.ws()
+	return ok && s.i == len(s.b)
+}
+
+// parseItem parses one multiplicity item onto b.wire and b.itemCounts.
+func (b *httpBody) parseItem(s *scanner) bool {
+	key, count := s.b[:0:0], 0
+	var seenKey, seenCount bool
+	ok := s.object(func(name []byte) (ok bool) {
+		switch {
+		case string(name) == "key" && !seenKey:
+			seenKey = true
+			key, ok = s.str()
+		case string(name) == "count" && !seenCount:
+			seenCount = true
+			count, ok = s.int()
+		}
+		return ok
+	})
+	b.wire = append(b.wire, key)
+	b.itemCounts = append(b.itemCounts, count)
+	return ok
+}
+
+// scanner walks a body in the canonical subset; a method reporting
+// false has met something outside it.
+type scanner struct {
+	b []byte
+	i int
+}
+
+// object consumes an object, calling field after each name and its
+// colon; field consumes the value.
+func (s *scanner) object(field func(name []byte) bool) bool {
+	if !s.next('{') {
+		return false
+	}
+	if s.next('}') {
+		return true
+	}
+	for {
+		name, ok := s.str()
+		if !ok || !s.next(':') || !field(name) {
+			return false
+		}
+		if !s.next(',') {
+			return s.next('}')
+		}
+	}
+}
+
+// array consumes an array, calling elem to consume each element.
+func (s *scanner) array(elem func() bool) bool {
+	if !s.next('[') {
+		return false
+	}
+	if s.next(']') {
+		return true
+	}
+	for {
+		if !elem() {
+			return false
+		}
+		if !s.next(',') {
+			return s.next(']')
+		}
+	}
+}
+
+// ws skips JSON whitespace.
+func (s *scanner) ws() {
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case ' ', '\t', '\n', '\r':
+			s.i++
+		default:
+			return
+		}
+	}
+}
+
+// next skips whitespace and consumes c if it comes next.
+func (s *scanner) next(c byte) bool {
+	s.ws()
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// str consumes a string and returns its bytes, which point into the
+// body.
+func (s *scanner) str() ([]byte, bool) {
+	if !s.next('"') {
+		return nil, false
+	}
+	start, ascii := s.i, true
+	for i := start; ; i++ {
+		for i < len(s.b) && plainByte[s.b[i]] {
+			i++
+		}
+		switch {
+		case i == len(s.b):
+			return nil, false
+		case s.b[i] == '"':
+			s.i = i + 1
+			v := s.b[start:i:i]
+			return v, ascii || utf8.Valid(v)
+		case s.b[i] < utf8.RuneSelf: // an escape or a control byte
+			return nil, false
+		}
+		ascii = false
+	}
+}
+
+// plainByte marks the ASCII bytes a subset string holds as themselves:
+// everything but the quote, the backslash and control bytes.
+var plainByte = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// int consumes an integer. A fraction or exponent after the digits
+// leaves a byte the caller's structural check refuses.
+func (s *scanner) int() (int, bool) {
+	s.ws()
+	neg := s.i < len(s.b) && s.b[s.i] == '-'
+	if neg {
+		s.i++
+	}
+	start, n := s.i, 0
+	for ; s.i < len(s.b) && s.b[s.i] >= '0' && s.b[s.i] <= '9'; s.i++ {
+		n = n*10 + int(s.b[s.i]-'0')
+	}
+	digits := s.i - start
+	if digits == 0 || digits > 18 || (digits > 1 && s.b[start] == '0') {
+		return 0, false
+	}
+	if neg {
+		n = -n
+	}
+	return n, true
+}
+
+// --- answers --------------------------------------------------------------
+
+// reply writes b.out as the 200 answer with one Write.
+func (b *httpBody) reply(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(b.out)
+}
+
+// The append encoders write the bytes json.Encoder.Encode writes for
+// the same values, trailing newline included (pinned by
+// TestAnswerEncodersMatchEncodingJSON).
+
+// appendTally appends {"<name>":n}, the added and applied answers.
+func appendTally(dst []byte, name string, n int) []byte {
+	dst = append(dst, `{"`...)
+	dst = append(dst, name...)
+	dst = append(dst, `":`...)
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	return append(dst, "}\n"...)
+}
+
+// appendBools appends the contains answer {"results":[...]}.
+func appendBools(dst []byte, results []bool) []byte {
+	dst = append(dst, `{"results":[`...)
+	for i, v := range results {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendBool(dst, v)
+	}
+	return append(dst, "]}\n"...)
+}
+
+// appendCounts appends the count answer {"counts":[...]}.
+func appendCounts(dst []byte, counts []int) []byte {
+	dst = append(dst, `{"counts":[`...)
+	for i, c := range counts {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(c), 10)
+	}
+	return append(dst, "]}\n"...)
+}
+
+// candidateNames lists the atomic regions in the order a classify
+// answer names them.
+var candidateNames = [...]struct {
+	r    core.Region
+	name string
+}{{core.RegionS1Only, "s1-only"}, {core.RegionBoth, "both"}, {core.RegionS2Only, "s2-only"}}
+
+// appendRegions appends the classify answer: per key, its region name,
+// the candidate atomic regions (an empty list is a definite non-member
+// of both sets), whether it is the paper's "clear answer" (exactly one
+// candidate), whether it lies in S1 or S2, and, on the v2 routes, the
+// raw candidate bitmask the native client round-trips (the v1 shape is
+// frozen without it).
+func appendRegions(dst []byte, regions []core.Region, withMask bool) []byte {
+	dst = append(dst, `{"results":[`...)
+	for i, r := range regions {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"region":"`...)
+		dst = append(dst, r.String()...) // region names need no JSON escaping
+		dst = append(dst, `","candidates":[`...)
+		first := true
+		for _, c := range candidateNames {
+			if r.Contains(c.r) {
+				if !first {
+					dst = append(dst, ',')
+				}
+				dst = append(dst, '"')
+				dst = append(dst, c.name...)
+				dst = append(dst, '"')
+				first = false
+			}
+		}
+		dst = append(dst, `],"clear":`...)
+		dst = strconv.AppendBool(dst, r.Clear())
+		dst = append(dst, `,"in_s1":`...)
+		dst = strconv.AppendBool(dst, r.InS1())
+		dst = append(dst, `,"in_s2":`...)
+		dst = strconv.AppendBool(dst, r.InS2())
+		if withMask {
+			dst = append(dst, `,"mask":`...)
+			dst = strconv.AppendUint(dst, uint64(r), 10)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}\n"...)
+}

@@ -136,6 +136,15 @@ func liftWindowSpec(inner core.Spec, kind core.Kind, shards int) core.Spec {
 	return s
 }
 
+// shard0Spec reads shard 0's ring spec under the shard's read lock: a
+// ring's Spec reads its head generation, which a rotation replaces.
+func shard0Spec[F interface{ Spec() core.Spec }](s *set[F]) core.Spec {
+	sh := &s.shards[0]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.f.Spec()
+}
+
 // checkWindowSpec validates a sharded window spec and splits its bit
 // budget.
 func checkWindowSpec(spec core.Spec, want core.Kind) (pow, perShard int, err error) {
@@ -299,7 +308,7 @@ func (f *Window) Kind() core.Kind { return core.KindWindowShardedMembership }
 // Spec returns the construction geometry (see Filter.Spec for the base
 // seed recovery).
 func (f *Window) Spec() core.Spec {
-	return liftWindowSpec(f.set.shards[0].f.Spec(), core.KindWindowShardedMembership, f.set.size())
+	return liftWindowSpec(shard0Spec(&f.set), core.KindWindowShardedMembership, f.set.size())
 }
 
 // Stats returns the aggregate occupancy snapshot.
@@ -491,7 +500,7 @@ func (f *WindowMultiplicity) Kind() core.Kind { return core.KindWindowShardedMul
 // Spec returns the construction geometry (see Filter.Spec for the base
 // seed recovery).
 func (f *WindowMultiplicity) Spec() core.Spec {
-	return liftWindowSpec(f.set.shards[0].f.Spec(), core.KindWindowShardedMultiplicity, f.set.size())
+	return liftWindowSpec(shard0Spec(&f.set), core.KindWindowShardedMultiplicity, f.set.size())
 }
 
 // Stats returns the aggregate occupancy snapshot.
@@ -673,7 +682,7 @@ func (f *WindowAssociation) Kind() core.Kind { return core.KindWindowShardedAsso
 // Spec returns the construction geometry (see Filter.Spec for the base
 // seed recovery).
 func (f *WindowAssociation) Spec() core.Spec {
-	return liftWindowSpec(f.set.shards[0].f.Spec(), core.KindWindowShardedAssociation, f.set.size())
+	return liftWindowSpec(shard0Spec(&f.set), core.KindWindowShardedAssociation, f.set.size())
 }
 
 // Stats returns the aggregate occupancy snapshot (N sums both sets).

@@ -396,3 +396,47 @@ func TestSnapshotRejectsSplicedShards(t *testing.T) {
 		t.Fatalf("legitimate container rejected: %v", err)
 	}
 }
+
+// TestWindowSpecBesideRotate: Spec runs while rotations replace every
+// shard's head generation — a metrics scrape reads it that way — so it
+// must read shard 0 under the shard lock. Meaningful under -race.
+func TestWindowSpecBesideRotate(t *testing.T) {
+	mem, err := NewWindow(windowSpec(3, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mult, err := NewWindowMultiplicity(core.Spec{Kind: core.KindWindowShardedMultiplicity,
+		M: 1 << 18, K: 4, C: 57, Shards: 4, Generations: 3, Seed: 3, CounterWidth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assoc, err := NewWindowAssociation(core.Spec{Kind: core.KindWindowShardedAssociation,
+		M: 1 << 18, K: 4, Shards: 4, Generations: 3, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []interface {
+		Spec() core.Spec
+		Rotate() error
+	}{mem, mult, assoc} {
+		want := f.Spec()
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if err := f.Rotate(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		for i := 0; i < 100; i++ {
+			if got := f.Spec(); got != want {
+				t.Errorf("%s: Spec changed across rotations: %+v, want %+v", want.Kind, got, want)
+				break
+			}
+		}
+		wg.Wait()
+	}
+}
