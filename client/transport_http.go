@@ -336,25 +336,10 @@ func (t *httpTransport) doRaw(ctx context.Context, req *wire.Request, resp *wire
 		if json.Unmarshal(data, &e) != nil || e.Error == "" {
 			e.Error = fmt.Sprintf("HTTP %d: %s", hresp.StatusCode, bytes.TrimSpace(data))
 		}
-		resp.Status = httpStatusToWire(hresp.StatusCode)
+		resp.Status = wire.StatusOfHTTP(hresp.StatusCode)
 		resp.Msg = e.Error
 		resp.Applied = e.Applied
 		return nil, nil
 	}
 	return data, nil
-}
-
-// httpStatusToWire maps an HTTP failure status onto the wire codes.
-func httpStatusToWire(status int) byte {
-	switch status {
-	case http.StatusBadRequest:
-		return wire.StatusBadRequest
-	case http.StatusNotFound:
-		return wire.StatusNotFound
-	case http.StatusConflict:
-		return wire.StatusConflict
-	case http.StatusTooManyRequests:
-		return wire.StatusOverloaded
-	}
-	return wire.StatusInternal
 }

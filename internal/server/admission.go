@@ -34,10 +34,9 @@ import (
 // are enforced at create time and are a config error (400), not an
 // overload.
 
-// errOverloaded marks admission-control rejections; both transports
-// map it to 429/StatusOverloaded (see overloadStatus/writeError call
-// sites — gate new shed paths on this sentinel, never in one transport
-// only).
+// errOverloaded marks admission-control rejections; statusOf maps it
+// to StatusOverloaded (HTTP 429) for every transport, so new shed
+// paths wrap this sentinel.
 var errOverloaded = errors.New("overloaded")
 
 // IsOverloaded reports whether err is an admission-control rejection.
@@ -94,7 +93,7 @@ func (l *rateLimiter) admit(n int, write bool, now time.Time) bool {
 
 // admit gates one data-plane op of nKeys keys on the namespace's rate
 // quota (a no-op for tenants without one). The error message is the
-// byte-identical body both transports serve.
+// body every transport serves.
 func (ns *namespace) admit(nKeys int, write bool) error {
 	if ns.limiter == nil {
 		return nil

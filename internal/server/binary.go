@@ -3,18 +3,14 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net"
-	"net/http"
 	"sync"
 	"time"
 
-	"shbf"
-	"shbf/internal/core"
 	"shbf/internal/wire"
 )
 
@@ -207,284 +203,4 @@ func (sc *dispatchScratch) encode(resp *wire.Response) error {
 	*resp = wire.Response{Status: wire.StatusConflict, Op: resp.Op, Msg: wire.OversizeMsg(resp.Op)}
 	sc.out, err = wire.AppendResponse(sc.out[:0], resp)
 	return err
-}
-
-// dispatchScratch is per-connection reusable result storage, so the
-// query hot paths allocate only on batch-size growth.
-type dispatchScratch struct {
-	bools   []bool
-	counts  []int
-	regions []core.Region
-	out     []byte // the encoded response frame
-}
-
-// dispatch answers one decoded request into resp. It never returns an
-// error: failures become in-band status responses, mirroring the HTTP
-// layer's status mapping.
-func (s *Server) dispatch(req *wire.Request, resp *wire.Response, sc *dispatchScratch) {
-	*resp = wire.Response{Status: wire.StatusOK, Op: req.Op}
-
-	// Control-plane ops that need no namespace.
-	switch req.Op {
-	case wire.OpPing:
-		return
-	case wire.OpNamespaceCreate:
-		var nc NamespaceConfig
-		if err := json.Unmarshal(req.Blob, &nc); err != nil {
-			resp.Status, resp.Msg = wire.StatusBadRequest, fmt.Sprintf("decoding config: %s", err)
-			return
-		}
-		if nc.Name == "" {
-			nc.Name = req.Namespace
-		}
-		if err := s.CreateNamespace(nc); err != nil {
-			resp.Status, resp.Msg = wire.StatusBadRequest, err.Error()
-			switch {
-			case errors.Is(err, errNamespaceExists):
-				resp.Status = wire.StatusConflict
-			case IsOverloaded(err): // daemon memory ceiling
-				resp.Status = wire.StatusOverloaded
-			}
-		}
-		return
-	case wire.OpNamespaceDelete:
-		if err := s.DeleteNamespace(req.Namespace); err != nil {
-			resp.Status, resp.Msg = wire.StatusNotFound, err.Error()
-			if req.Namespace == DefaultNamespace {
-				resp.Status = wire.StatusConflict
-			}
-		}
-		return
-	case wire.OpNamespaceList:
-		blob, err := json.Marshal(s.namespaceList())
-		if err != nil {
-			resp.Status, resp.Msg = wire.StatusInternal, err.Error()
-			return
-		}
-		resp.Blob = blob
-		return
-	case wire.OpClusterMap:
-		cs := s.cluster.Load()
-		if cs == nil {
-			resp.Status, resp.Msg = wire.StatusNotFound, errNotClustered.Error()
-			return
-		}
-		resp.Blob = cs.encoded
-		return
-	case wire.OpMetrics:
-		if s.met == nil {
-			resp.Status, resp.Msg = wire.StatusNotFound, "server: metrics disabled"
-			return
-		}
-		resp.Blob = s.met.reg.Render()
-		return
-	}
-
-	ns, err := s.lookup(req.Namespace)
-	if err != nil {
-		resp.Status, resp.Msg = wire.StatusNotFound, err.Error()
-		return
-	}
-	// Frozen namespaces serve reads; every mutating op conflicts, on
-	// this transport exactly as over HTTP (freeze.go).
-	switch req.Op {
-	case wire.OpMembershipAdd, wire.OpMembershipMerge, wire.OpAssociationAdd,
-		wire.OpAssociationRemove, wire.OpMultiplicityAdd, wire.OpMultiplicityRemove,
-		wire.OpMultiplicityMerge, wire.OpRotate:
-		if err := ns.writable(); err != nil {
-			resp.Status, resp.Msg = wire.StatusConflict, err.Error()
-			return
-		}
-	}
-	// Per-tenant rate quota on the data-plane ops, charging one token
-	// per key — the same gate, costs and message as the HTTP handlers,
-	// so both transports shed byte-identically.
-	switch req.Op {
-	case wire.OpMembershipAdd, wire.OpAssociationAdd, wire.OpAssociationRemove,
-		wire.OpMultiplicityAdd, wire.OpMultiplicityRemove:
-		if err := ns.admit(len(req.Keys), true); err != nil {
-			resp.Status, resp.Msg = wire.StatusOverloaded, err.Error()
-			return
-		}
-	case wire.OpMembershipContains, wire.OpAssociationQuery, wire.OpMultiplicityCount:
-		if err := ns.admit(len(req.Keys), false); err != nil {
-			resp.Status, resp.Msg = wire.StatusOverloaded, err.Error()
-			return
-		}
-	}
-	switch req.Op {
-	case wire.OpStats:
-		blob, err := json.Marshal(s.statsFor(ns))
-		if err != nil {
-			resp.Status, resp.Msg = wire.StatusInternal, err.Error()
-			return
-		}
-		resp.Blob = blob
-
-	case wire.OpRotate:
-		rotated, err := s.rotate(ns)
-		if err != nil {
-			resp.Status, resp.Msg = wire.StatusInternal, err.Error()
-			if errors.Is(err, ErrNotWindowed) {
-				resp.Status = wire.StatusConflict
-			}
-			return
-		}
-		resp.Rotated = rotated
-		if win, ok := ns.mem.(shbf.Windowed); ok {
-			resp.Epoch = win.Window().Epoch
-		}
-
-	case wire.OpMembershipAdd:
-		if err := ns.mem.AddAll(req.Keys); err != nil {
-			resp.Status, resp.Msg = wire.StatusInternal, err.Error()
-			return
-		}
-		ns.stats.membershipAdd.Add(uint64(len(req.Keys)))
-		resp.Applied = uint64(len(req.Keys))
-
-	case wire.OpMembershipContains:
-		sc.bools = ns.mem.ContainsAll(sc.bools[:0], req.Keys)
-		ns.stats.membershipContains.Add(uint64(len(req.Keys)))
-		resp.Bools = sc.bools
-
-	case wire.OpMembershipMerge:
-		n, err := ns.mergeEnvelope(req.Blob)
-		if err != nil {
-			resp.Status, resp.Msg = mergeStatusWire(err), err.Error()
-			return
-		}
-		resp.Applied = uint64(n)
-
-	case wire.OpMembershipDump:
-		env, err := ns.membershipEnvelope()
-		if err != nil {
-			resp.Status, resp.Msg = wire.StatusInternal, err.Error()
-			return
-		}
-		resp.Blob = env
-
-	case wire.OpFreeze:
-		blob, err := ns.freezeMembership()
-		if err != nil {
-			resp.Status, resp.Msg = wire.StatusInternal, err.Error()
-			return
-		}
-		resp.Blob = blob
-
-	case wire.OpAssociationAdd, wire.OpAssociationRemove:
-		op, err := associationOp(ns, req.Op, req.Set)
-		if err != nil {
-			resp.Status, resp.Msg = wire.StatusBadRequest, err.Error()
-			return
-		}
-		for i, k := range req.Keys {
-			if err := op(k); err != nil {
-				resp.Status, resp.Msg = wireUpdateStatus(err), err.Error()
-				resp.Applied = uint64(i)
-				return
-			}
-		}
-		ns.stats.associationUpdate.Add(uint64(len(req.Keys)))
-		resp.Applied = uint64(len(req.Keys))
-
-	case wire.OpAssociationQuery:
-		sc.regions = ns.assoc.QueryAll(sc.regions[:0], req.Keys)
-		ns.stats.associationQuery.Add(uint64(len(req.Keys)))
-		if cap(resp.Regions) < len(sc.regions) {
-			resp.Regions = make([]byte, len(sc.regions))
-		}
-		resp.Regions = resp.Regions[:len(sc.regions)]
-		for i, r := range sc.regions {
-			resp.Regions[i] = byte(r)
-		}
-
-	case wire.OpMultiplicityAdd, wire.OpMultiplicityRemove:
-		op := ns.mult.Insert
-		if req.Op == wire.OpMultiplicityRemove {
-			op = ns.mult.Delete
-		}
-		applied := uint64(0)
-		for i, k := range req.Keys {
-			count := 1
-			if len(req.Counts) != 0 {
-				count = req.Counts[i]
-			}
-			for j := 0; j < count; j++ {
-				if err := op(k); err != nil {
-					resp.Status = wireUpdateStatus(err)
-					resp.Msg = fmt.Sprintf("key %d: %s", i, err)
-					resp.Applied = applied
-					return
-				}
-				applied++
-			}
-		}
-		ns.stats.multiplicityUpdate.Add(applied)
-		resp.Applied = applied
-
-	case wire.OpMultiplicityCount:
-		sc.counts = ns.mult.CountAll(sc.counts[:0], req.Keys)
-		ns.stats.multiplicityQuery.Add(uint64(len(req.Keys)))
-		resp.Counts = sc.counts
-
-	case wire.OpMultiplicityMerge:
-		n, err := ns.mergeMultiplicityEnvelope(req.Blob)
-		if err != nil {
-			resp.Status, resp.Msg = mergeStatusWire(err), err.Error()
-			return
-		}
-		resp.Applied = uint64(n)
-
-	case wire.OpMultiplicityDump:
-		env, err := ns.multiplicityEnvelope()
-		if err != nil {
-			resp.Status, resp.Msg = wire.StatusInternal, err.Error()
-			return
-		}
-		resp.Blob = env
-
-	default:
-		resp.Status, resp.Msg = wire.StatusBadRequest, fmt.Sprintf("unhandled op %s", wire.OpName(req.Op))
-	}
-}
-
-// associationOp selects the association update for an op/set pair.
-func associationOp(ns *namespace, op, set byte) (func([]byte) error, error) {
-	if set != 1 && set != 2 {
-		return nil, fmt.Errorf("set must be 1 or 2, got %d", set)
-	}
-	if op == wire.OpAssociationAdd {
-		if set == 1 {
-			return ns.assoc.InsertS1, nil
-		}
-		return ns.assoc.InsertS2, nil
-	}
-	if set == 1 {
-		return ns.assoc.DeleteS1, nil
-	}
-	return ns.assoc.DeleteS2, nil
-}
-
-// mergeStatusWire maps a mergeEnvelope error to a wire status,
-// mirroring mergeStatusHTTP case for case so the two transports can
-// never disagree.
-func mergeStatusWire(err error) byte {
-	switch mergeStatusHTTP(err) {
-	case http.StatusBadRequest:
-		return wire.StatusBadRequest
-	case http.StatusConflict:
-		return wire.StatusConflict
-	}
-	return wire.StatusInternal
-}
-
-// wireUpdateStatus maps a filter update error to a wire status; it
-// shares the capacity-error predicate with the HTTP mapping so the
-// transports can never disagree on what client.IsConflict reports.
-func wireUpdateStatus(err error) byte {
-	if isCapacityErr(err) {
-		return wire.StatusConflict
-	}
-	return wire.StatusInternal
 }

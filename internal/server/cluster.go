@@ -3,12 +3,11 @@ package server
 import (
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 
 	"shbf"
 	"shbf/internal/cluster"
 	"shbf/internal/sharded"
+	"shbf/internal/wire"
 )
 
 // Cluster mode. A daemon started with -cluster-file knows the cluster
@@ -23,15 +22,15 @@ import (
 // arrays is the filter of the union; see sharded.Filter.Union).
 
 // errNotClustered reports cluster endpoints on a daemon started
-// without -cluster-file (mapped to 404/StatusNotFound).
+// without -cluster-file (404/StatusNotFound).
 var errNotClustered = errors.New("server: no cluster map configured (start shbfd with -cluster-file)")
 
 // errMergeWindowed reports a merge into a windowed namespace, refused
-// until merges are epoch-aligned (mapped to 409/StatusConflict).
+// until merges are epoch-aligned (409/StatusConflict).
 var errMergeWindowed = errors.New("server: cannot merge into a windowed namespace (generation epochs are not aligned across nodes)")
 
-// errMergeBadEnvelope tags merge-body decode failures (mapped to
-// 400/StatusBadRequest).
+// errMergeBadEnvelope tags merge-body decode failures
+// (400/StatusBadRequest).
 var errMergeBadEnvelope = errors.New("server: merge body is not a membership envelope")
 
 // clusterState is the immutable cluster identity a daemon is started
@@ -71,32 +70,6 @@ func (s *Server) ClusterMap() (*cluster.Map, string) {
 		return nil, ""
 	}
 	return cs.m, cs.nodeID
-}
-
-// handleClusterMap serves GET /v2/cluster: the cluster map document,
-// from any node.
-func (s *Server) handleClusterMap(w http.ResponseWriter, r *http.Request) {
-	cs := s.cluster.Load()
-	if cs == nil {
-		writeError(w, http.StatusNotFound, errNotClustered)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(cs.encoded)
-}
-
-// membershipEnvelope exports the namespace's membership filter as one
-// ShBE envelope — the anti-entropy payload a replica ships to its
-// peers.
-func (ns *namespace) membershipEnvelope() ([]byte, error) {
-	return shbf.AppendDump(nil, ns.mem)
-}
-
-// multiplicityEnvelope exports the namespace's multiplicity filter —
-// the counting-state analogue of membershipEnvelope, and the flush
-// payload edge agents in count mode ship upstream (internal/ingest).
-func (ns *namespace) multiplicityEnvelope() ([]byte, error) {
-	return shbf.AppendDump(nil, ns.mult)
 }
 
 // decodeMergeEnvelope decodes one uploaded ShBE envelope, classifying
@@ -162,121 +135,25 @@ func (ns *namespace) mergeFilter(src shbf.Filter, gate func(nKeys int) error) (i
 	}
 }
 
-// mergeEnvelope unions one uploaded ShBE membership envelope into the
-// namespace's live filter and returns the source filter's element
-// count. Failures classify for the transports via errMergeBadEnvelope
-// (bad request), errMergeWindowed and sharded.ErrIncompatible (both
-// conflict: the filter is intact, the operator shipped the wrong
-// envelope).
-func (ns *namespace) mergeEnvelope(data []byte) (int, error) {
+// mergeEnvelope unions one uploaded ShBE envelope into the live
+// filter op names: a membership envelope for OpMembershipMerge, a
+// multiplicity one (unioned by counter-wise saturating add, so merged
+// counts never underestimate either side) for OpMultiplicityMerge. It
+// returns the source filter's element count. Failures classify through
+// errMergeBadEnvelope (bad request), errMergeWindowed and
+// sharded.ErrIncompatible (both conflict: the filter is intact, the
+// operator shipped the wrong envelope).
+func (ns *namespace) mergeEnvelope(op byte, data []byte) (int, error) {
 	src, err := decodeMergeEnvelope(data)
 	if err != nil {
 		return 0, err
 	}
-	if _, ok := src.(*sharded.Filter); !ok {
-		return 0, fmt.Errorf("%w: envelope holds a %s filter, want %s",
-			errMergeBadEnvelope, src.Kind(), shbf.KindShardedMembership)
+	want := shbf.KindShardedMembership
+	if op == wire.OpMultiplicityMerge {
+		want = shbf.KindShardedMultiplicity
+	}
+	if src.Kind() != want {
+		return 0, fmt.Errorf("%w: envelope holds a %s filter, want %s", errMergeBadEnvelope, src.Kind(), want)
 	}
 	return ns.mergeFilter(src, nil)
-}
-
-// mergeMultiplicityEnvelope is mergeEnvelope for the counting side:
-// the body must hold a sharded multiplicity envelope, unioned in by
-// counter-wise saturating add so merged counts never underestimate
-// either side.
-func (ns *namespace) mergeMultiplicityEnvelope(data []byte) (int, error) {
-	src, err := decodeMergeEnvelope(data)
-	if err != nil {
-		return 0, err
-	}
-	if _, ok := src.(*sharded.Multiplicity); !ok {
-		return 0, fmt.Errorf("%w: envelope holds a %s filter, want %s",
-			errMergeBadEnvelope, src.Kind(), shbf.KindShardedMultiplicity)
-	}
-	return ns.mergeFilter(src, nil)
-}
-
-// mergeStatusHTTP maps a mergeEnvelope error to an HTTP status.
-func mergeStatusHTTP(err error) int {
-	switch {
-	case errors.Is(err, errMergeBadEnvelope):
-		return http.StatusBadRequest
-	case errors.Is(err, errMergeWindowed), errors.Is(err, sharded.ErrIncompatible):
-		return http.StatusConflict
-	}
-	return http.StatusInternalServerError
-}
-
-// nsMembershipEnvelope serves GET /v2/namespaces/{ns}/membership/
-// envelope: the namespace's membership filter as a raw ShBE envelope.
-func (s *Server) nsMembershipEnvelope(ns *namespace, w http.ResponseWriter, r *http.Request) {
-	env, err := ns.membershipEnvelope()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(env)
-}
-
-// nsMembershipMerge serves POST /v2/namespaces/{ns}/merge: the body is
-// a raw ShBE envelope (as exported by the envelope endpoint) unioned
-// into the live membership filter.
-func (s *Server) nsMembershipMerge(ns *namespace, w http.ResponseWriter, r *http.Request) {
-	if err := ns.writable(); err != nil {
-		writeError(w, http.StatusConflict, err)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
-		return
-	}
-	n, err := ns.mergeEnvelope(body)
-	if err != nil {
-		writeError(w, mergeStatusHTTP(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"merged_n":     n,
-		"membership_n": ns.mem.Stats().N,
-	})
-}
-
-// nsMultiplicityEnvelope serves GET /v2/namespaces/{ns}/multiplicity/
-// envelope: the namespace's multiplicity filter as a raw ShBE
-// envelope.
-func (s *Server) nsMultiplicityEnvelope(ns *namespace, w http.ResponseWriter, r *http.Request) {
-	env, err := ns.multiplicityEnvelope()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(env)
-}
-
-// nsMultiplicityMerge serves POST /v2/namespaces/{ns}/multiplicity/
-// merge: the body is a raw ShBE multiplicity envelope (as exported by
-// the multiplicity envelope endpoint) unioned into the live counting
-// filter by counter-wise saturating add.
-func (s *Server) nsMultiplicityMerge(ns *namespace, w http.ResponseWriter, r *http.Request) {
-	if err := ns.writable(); err != nil {
-		writeError(w, http.StatusConflict, err)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
-		return
-	}
-	n, err := ns.mergeMultiplicityEnvelope(body)
-	if err != nil {
-		writeError(w, mergeStatusHTTP(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"merged_n":       n,
-		"multiplicity_n": ns.mult.Stats().N,
-	})
 }

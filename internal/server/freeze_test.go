@@ -6,9 +6,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"shbf/internal/frozen"
+	"shbf/internal/wire"
 )
 
 // postRaw sends a bodyless POST and returns the status and raw body.
@@ -174,5 +178,91 @@ func TestDaemonStatsRollupFPR(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("tenant t missing from the rollup")
+	}
+}
+
+// TestFreezeConcurrentWrites: a freeze that races writers ships a
+// container holding every key a write acked, so the served set and the
+// shipped container cannot drift apart under load either. Writers send
+// 64-key membership adds through handleFrame until the tenant refuses
+// them; the freeze starts once about 2,000 keys are acked, while
+// writes are in flight.
+func TestFreezeConcurrentWrites(t *testing.T) {
+	const (
+		trials  = 20
+		writers = 4
+		batch   = 64
+		before  = 2000
+	)
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := range trials {
+		name := fmt.Sprintf("race-%d", trial)
+		if err := s.CreateNamespace(NamespaceConfig{Name: name}); err != nil {
+			t.Fatal(err)
+		}
+		var (
+			acked, live, stop atomic.Int64
+			mu                sync.Mutex
+			keys              [][]byte
+			wg                sync.WaitGroup
+		)
+		for w := range writers {
+			wg.Add(1)
+			live.Add(1)
+			go func() {
+				defer wg.Done()
+				defer live.Add(-1)
+				var (
+					resp wire.Response
+					sc   dispatchScratch
+				)
+				for i := 0; stop.Load() == 0; i++ {
+					req := wire.Request{Op: wire.OpMembershipAdd, Namespace: name, Keys: make([][]byte, batch)}
+					for j := range req.Keys {
+						req.Keys[j] = []byte(fmt.Sprintf("t%d-w%d-b%d-k%d", trial, w, i, j))
+					}
+					s.handleFrame(&req, &resp, &sc)
+					if resp.Status != wire.StatusOK {
+						return // refused: the tenant is frozen
+					}
+					mu.Lock()
+					keys = append(keys, req.Keys...)
+					mu.Unlock()
+					acked.Add(batch)
+				}
+			}()
+		}
+		for acked.Load() < before && live.Load() == writers {
+			runtime.Gosched()
+		}
+		var (
+			resp wire.Response
+			sc   dispatchScratch
+		)
+		s.handleFrame(&wire.Request{Op: wire.OpFreeze, Namespace: name}, &resp, &sc)
+		stop.Store(1)
+		wg.Wait()
+		if resp.Status != wire.StatusOK {
+			t.Fatalf("trial %d: freeze: status %d (%s)", trial, resp.Status, resp.Msg)
+		}
+		fz, err := frozen.Open(resp.Blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		missing := 0
+		for _, k := range keys {
+			if !fz.Contains(k) {
+				missing++
+			}
+		}
+		if missing > 0 {
+			t.Errorf("trial %d: the frozen container misses %d of %d acked keys", trial, missing, len(keys))
+		}
+		if err := s.DeleteNamespace(name); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/base64"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,9 +13,14 @@ import (
 	"unicode/utf8"
 
 	"shbf/internal/core"
+	"shbf/internal/wire"
 )
 
-// The data-plane HTTP body codec (DESIGN.md "HTTP body codec"). The
+// The HTTP codec. serveOp makes every route that has a wire op a
+// codec over dispatch: it decodes the request into a wire.Request and
+// writes the wire.Response back in the route's JSON or raw bytes.
+//
+// The data-plane body codec (DESIGN.md "HTTP body codec"): the
 // membership, association and multiplicity routes, v1 and v2, decode
 // their bodies with a hand-written parser for a strict canonical
 // subset of what the encoding/json path accepts:
@@ -66,16 +72,18 @@ type setBatch struct {
 	Encoding string   `json:"encoding,omitempty"`
 }
 
-// bodyShape names a data-plane body's JSON form.
+// bodyShape names a route's request body.
 type bodyShape uint8
 
 const (
 	shapeKeys  bodyShape = iota // keyBatch
 	shapeSet                    // setBatch
 	shapeItems                  // countedBatch
+	shapeNone                   // no body read
+	shapeRaw                    // the bytes are the request's Blob
 )
 
-// httpBody is one data-plane request's decode and encode state,
+// httpBody is one HTTP request's decode, dispatch and encode state,
 // pooled across requests.
 type httpBody struct {
 	in         []byte   // the request body
@@ -87,10 +95,9 @@ type httpBody struct {
 	arena []byte   // decoded base64 keys
 	keys  [][]byte // element keys: into in (raw) or arena (base64)
 
-	bools   []bool
-	counts  []int
-	regions []core.Region
-	out     []byte // the encoded answer
+	req  wire.Request
+	resp wire.Response
+	dispatchScratch
 }
 
 var httpBodies = sync.Pool{New: func() any { return new(httpBody) }}
@@ -109,31 +116,57 @@ func (b *httpBody) release() {
 	}
 	clear(b.wire) // drop references to keys the fallback allocated
 	clear(b.keys)
+	// Drop the answer's blob, which a pooled body must not keep alive.
+	b.req, b.resp = wire.Request{}, wire.Response{Regions: b.resp.Regions}
 	httpBodies.Put(b)
 }
 
-// read reads the request body and decodes it as shape into b.keys (and
-// b.set, b.itemCounts). When the body does not decode it answers 400 and
-// reports false, checking in the order the handlers always did: the
-// JSON, then the set, then each key in turn (for items, its key before
-// its count).
-func (b *httpBody) read(w http.ResponseWriter, r *http.Request, shape bodyShape) bool {
+// serveOp is the HTTP codec of one wire op. It fills a wire.Request
+// from the route's namespace ("" on the v1 routes: the default
+// namespace) and its body, runs it through dispatch, and writes the
+// wire.Response back as the route's answer.
+func (s *Server) serveOp(op byte, shape bodyShape) http.HandlerFunc {
+	return s.instrumentHTTP(wire.OpName(op), func(w http.ResponseWriter, r *http.Request) {
+		b := getHTTPBody()
+		defer b.release()
+		b.req = wire.Request{Op: op, Namespace: r.PathValue("ns")}
+		if err := b.read(w, r, shape); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		b.answer(w, s.dispatch(&b.req, &b.resp, &b.dispatchScratch))
+	})
+}
+
+// read reads the request body as shape into b.req: a data-plane body's
+// keys, set and counts, or the raw bytes as its Blob. A data-plane body
+// that does not decode is refused checking the JSON, then each key in
+// turn (for items, its key before its count); the set is the core's to
+// check, except one the request's byte cannot carry.
+func (b *httpBody) read(w http.ResponseWriter, r *http.Request, shape bodyShape) error {
+	if shape == shapeNone {
+		return nil
+	}
 	var err error
 	b.in, err = appendBody(b.in[:0], http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if shape == shapeRaw {
+		b.req.Blob = b.in
+		if err != nil {
+			return fmt.Errorf("reading request: %w", err)
+		}
+		return nil
+	}
 	if err != nil || !b.parse(shape) {
 		err = b.decodeJSON(shape, err)
 	}
-	if err == nil && shape == shapeSet && b.set != 1 && b.set != 2 {
-		err = fmt.Errorf("set must be 1 or 2, got %d", b.set)
+	if err == nil && b.set != int(byte(b.set)) {
+		err = checkSet(b.set)
 	}
 	if err == nil {
 		err = b.decodeKeys(shape == shapeItems)
 	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return false
-	}
-	return true
+	b.req.Keys, b.req.Set, b.req.Counts = b.keys, byte(b.set), b.itemCounts
+	return err
 }
 
 // appendBody appends everything r yields to dst and returns the error
@@ -242,8 +275,13 @@ func (b *httpBody) decodeKeys(items bool) error {
 			}
 			k, arena = arena[:n:n], arena[n:]
 		}
-		if items && b.itemCounts[i] < 0 {
-			return fmt.Errorf("item %d: negative count %d", i, b.itemCounts[i])
+		if items {
+			switch c := b.itemCounts[i]; {
+			case c < 0:
+				return fmt.Errorf("item %d: negative count %d", i, c)
+			case c == 0: // an absent count is 1; on the wire, 0 applies nothing
+				b.itemCounts[i] = 1
+			}
 		}
 		b.keys = append(b.keys, k)
 	}
@@ -429,8 +467,58 @@ func (s *scanner) int() (int, bool) {
 
 // --- answers --------------------------------------------------------------
 
-// reply writes b.out as the 200 answer with one Write.
-func (b *httpBody) reply(w http.ResponseWriter) {
+// answer writes b.resp as the route's answer: for a failure err (the
+// error dispatch returned) the error, with "applied" when a batch
+// failed midway; for a success the op's body, in the bytes the route
+// has always answered with. The data-plane bodies are appended into
+// b.out and written with one Write.
+func (b *httpBody) answer(w http.ResponseWriter, err error) {
+	resp := &b.resp
+	if err != nil {
+		body := map[string]any{"error": resp.Msg}
+		if errors.Is(err, errMidBatch) {
+			body["applied"] = resp.Applied
+		}
+		writeJSON(w, wire.HTTPStatus(resp.Status), body)
+		return
+	}
+	b.out = b.out[:0]
+	switch b.req.Op {
+	case wire.OpMembershipAdd:
+		b.out = appendTally(b.out, "added", int(resp.Applied))
+	case wire.OpAssociationAdd, wire.OpAssociationRemove, wire.OpMultiplicityAdd, wire.OpMultiplicityRemove:
+		b.out = appendTally(b.out, "applied", int(resp.Applied))
+	case wire.OpMembershipContains:
+		b.out = appendBools(b.out, resp.Bools)
+	case wire.OpAssociationQuery:
+		// Only the v2 routes carry the raw mask; the v1 shape is frozen.
+		b.out = appendRegions(b.out, b.regions, b.req.Namespace != "")
+	case wire.OpMultiplicityCount:
+		b.out = appendCounts(b.out, resp.Counts)
+	case wire.OpStats, wire.OpNamespaceList:
+		b.out = append(append(b.out, resp.Blob...), '\n') // as json.Encoder ends it
+	case wire.OpClusterMap:
+		b.out = append(b.out, resp.Blob...)
+	case wire.OpMembershipDump, wire.OpMultiplicityDump, wire.OpFreeze:
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Write(resp.Blob)
+		return
+	case wire.OpRotate:
+		writeJSON(w, http.StatusOK, map[string]any{"rotated": resp.Rotated, "epoch": resp.Epoch})
+		return
+	case wire.OpNamespaceCreate:
+		writeJSON(w, http.StatusCreated, map[string]string{"created": b.req.Namespace})
+		return
+	case wire.OpNamespaceDelete:
+		writeJSON(w, http.StatusOK, map[string]string{"deleted": b.req.Namespace})
+		return
+	case wire.OpMembershipMerge:
+		writeJSON(w, http.StatusOK, map[string]any{"merged_n": resp.Applied, "membership_n": b.filterN})
+		return
+	case wire.OpMultiplicityMerge:
+		writeJSON(w, http.StatusOK, map[string]any{"merged_n": resp.Applied, "multiplicity_n": b.filterN})
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(b.out)

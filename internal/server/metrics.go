@@ -366,24 +366,9 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// httpStatusIndex folds an HTTP status onto the wire status indices,
-// the inverse of the handlers' error mapping (and of the client's
-// httpStatusToWire).
-func httpStatusIndex(code int) int {
-	switch {
-	case code < 400:
-		return wire.StatusOK
-	case code == http.StatusBadRequest:
-		return wire.StatusBadRequest
-	case code == http.StatusNotFound:
-		return wire.StatusNotFound
-	case code == http.StatusConflict:
-		return wire.StatusConflict
-	case code == http.StatusTooManyRequests:
-		return wire.StatusOverloaded
-	}
-	return wire.StatusInternal
-}
+// httpStatusIndex folds an HTTP status onto the wire status indices
+// through the wire↔HTTP table the answers were written with.
+func httpStatusIndex(code int) int { return int(wire.StatusOfHTTP(code)) }
 
 // statusIndex clamps a wire status onto the counter index range.
 func statusIndex(st byte) int {

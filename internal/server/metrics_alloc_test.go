@@ -48,6 +48,7 @@ func TestInstrumentedDispatchAllocFree(t *testing.T) {
 	addReq := wire.Request{Op: wire.OpMembershipAdd, Keys: keys}
 	containsReq := wire.Request{Op: wire.OpMembershipContains, Keys: keys}
 	countReq := wire.Request{Op: wire.OpMultiplicityCount, Keys: keys}
+	classifyReq := wire.Request{Op: wire.OpAssociationQuery, Keys: keys[:16]}
 	pingReq := wire.Request{Op: wire.OpPing}
 
 	// Warm the pools and scratch outside the measurement.
@@ -57,6 +58,7 @@ func TestInstrumentedDispatchAllocFree(t *testing.T) {
 	}
 	s.handleFrame(&containsReq, &resp, &sc)
 	s.handleFrame(&countReq, &resp, &sc)
+	s.handleFrame(&classifyReq, &resp, &sc)
 
 	requireZeroAllocs(t, "handleFrame/membership-add", 100, func() {
 		s.handleFrame(&addReq, &resp, &sc)
@@ -66,6 +68,9 @@ func TestInstrumentedDispatchAllocFree(t *testing.T) {
 	})
 	requireZeroAllocs(t, "handleFrame/multiplicity-count", 100, func() {
 		s.handleFrame(&countReq, &resp, &sc)
+	})
+	requireZeroAllocs(t, "handleFrame/association-query", 100, func() {
+		s.handleFrame(&classifyReq, &resp, &sc)
 	})
 	requireZeroAllocs(t, "handleFrame/ping", 100, func() {
 		s.handleFrame(&pingReq, &resp, &sc)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,9 +12,18 @@ import (
 	"shbf/internal/core"
 )
 
-// errNamespaceExists reports a create of a name already registered
-// (mapped to 409/StatusConflict by the transports).
-var errNamespaceExists = errors.New("namespace already exists")
+// Registry errors, classed by statusOf.
+var (
+	// errNamespaceExists reports a create of a name already registered
+	// (409/StatusConflict).
+	errNamespaceExists = errors.New("namespace already exists")
+	// errUnknownNamespace reports a name not registered
+	// (404/StatusNotFound).
+	errUnknownNamespace = errors.New("unknown namespace")
+	// errDefaultUndeletable refuses deleting the default namespace
+	// (409/StatusConflict).
+	errDefaultUndeletable = fmt.Errorf("server: the %q namespace cannot be deleted", DefaultNamespace)
+)
 
 // Multi-tenant namespaces. One daemon serves many logical filter trios
 // — membership, association, multiplicity — each keyed by a namespace
@@ -46,6 +56,10 @@ type namespace struct {
 	// frozen marks the tenant read-only after a freeze (see freeze.go);
 	// process-local, not persisted in snapshots.
 	frozen atomic.Bool
+	// writeMu orders writes against a freeze: every mutation holds it
+	// shared from its frozen check to its last filter update
+	// (beginWrite), and the freeze holds it exclusively.
+	writeMu sync.RWMutex
 }
 
 // NamespaceConfig is the JSON shape of POST /v2/namespaces (and the
@@ -224,7 +238,7 @@ func (s *Server) lookup(name string) (*namespace, error) {
 	ns := s.namespaces[name]
 	s.mu.RUnlock()
 	if ns == nil {
-		return nil, fmt.Errorf("server: unknown namespace %q", name)
+		return nil, fmt.Errorf("server: %w %q", errUnknownNamespace, name)
 	}
 	return ns, nil
 }
@@ -284,13 +298,13 @@ func (s *Server) CreateNamespace(nc NamespaceConfig) error {
 // namespace cannot be deleted — the v1 shims serve it.
 func (s *Server) DeleteNamespace(name string) error {
 	if name == DefaultNamespace {
-		return fmt.Errorf("server: the %q namespace cannot be deleted", DefaultNamespace)
+		return errDefaultUndeletable
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ns := s.namespaces[name]
 	if ns == nil {
-		return fmt.Errorf("server: unknown namespace %q", name)
+		return fmt.Errorf("server: %w %q", errUnknownNamespace, name)
 	}
 	s.usedBits -= ns.totalBits() // refund the memory ceiling
 	delete(s.namespaces, name)

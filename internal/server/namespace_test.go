@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"shbf/internal/wire"
 )
 
 // TestNamespaceIsolation: two tenants with different geometry serve
@@ -290,5 +293,38 @@ func TestClassifyMaskOnlyInV2(t *testing.T) {
 	}
 	if int(mask)&1 == 0 { // RegionS1Only bit
 		t.Fatalf("mask %v missing s1-only candidate", mask)
+	}
+}
+
+// TestNamespaceCreateDecodesStrictly: both transports decode a
+// namespace config strictly, so a misspelt field is the same 400 over
+// ShBP as over HTTP instead of a tenant built without it.
+func TestNamespaceCreateDecodesStrictly(t *testing.T) {
+	srv, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	const body = `{"name":"t","window_generation":3}`
+	const msg = `decoding request: json: unknown field "window_generation"`
+
+	want, err := json.Marshal(map[string]string{"error": msg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, got := rawPost(t, ts.URL+"/v2/namespaces", body); status != 400 || string(got) != string(want)+"\n" {
+		t.Fatalf("HTTP: %d %s, want 400 %s", status, got, want)
+	}
+	var (
+		resp wire.Response
+		sc   dispatchScratch
+	)
+	srv.handleFrame(&wire.Request{Op: wire.OpNamespaceCreate, Blob: []byte(body)}, &resp, &sc)
+	if resp.Status != wire.StatusBadRequest || resp.Msg != msg {
+		t.Fatalf("ShBP: status %d %q, want bad-request %q", resp.Status, resp.Msg, msg)
+	}
+	if names := srv.Namespaces(); len(names) != 1 {
+		t.Fatalf("namespaces after two refused creates: %v", names)
 	}
 }

@@ -2,18 +2,19 @@ package server
 
 import (
 	"errors"
-	"net/http"
 
 	"shbf"
+	"shbf/internal/wire"
 )
 
 // Rotation of the daemon's sliding windows. A windowed namespace's
 // three filters implement shbf.Windowed; rotating the namespace walks
 // them, retiring each one's oldest generation under its striped shard
 // locks, so queries keep flowing on every shard a rotation is not
-// currently touching. Three drivers share this path: the per-tenant
-// POST /v2/namespaces/{ns}/rotate, the v1 shim POST /v1/rotate
-// (default namespace), and shbfd's -tick loop (RotateAll). All of them
+// currently touching. Two callers share this path: the rotate op
+// (POST /v2/namespaces/{ns}/rotate, its v1 shim POST /v1/rotate, and
+// ShBP OpRotate, all through dispatch) and shbfd's -tick loop
+// (RotateAll). Both hold the namespace's write gate, and all rotations
 // serialize on Server.rotMu so a rotation-consistent snapshot can
 // exclude rotations entirely and capture every ring at one epoch.
 
@@ -46,18 +47,15 @@ func (s *Server) rotate(ns *namespace) ([]string, error) {
 }
 
 // Rotate retires the oldest generation of the default namespace's
-// windowed filters — the v1 behavior. Safe for concurrent use.
+// windowed filters — the v1 behavior — as the rotate op, so a frozen
+// default namespace refuses it. Safe for concurrent use.
 func (s *Server) Rotate() ([]string, error) {
-	return s.rotate(s.defaultNS())
-}
-
-// RotateNamespace rotates one tenant's window.
-func (s *Server) RotateNamespace(name string) ([]string, error) {
-	ns, err := s.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return s.rotate(ns)
+	var (
+		resp wire.Response
+		sc   dispatchScratch
+	)
+	err := s.dispatch(&wire.Request{Op: wire.OpRotate}, &resp, &sc)
+	return resp.Rotated, err
 }
 
 // RotateAll rotates every windowed namespace (the shbfd -tick driver)
@@ -69,10 +67,12 @@ func (s *Server) RotateAll() ([]string, error) {
 	for _, ns := range s.snapshotList() {
 		// Frozen tenants are read-only; the tick loop skips them
 		// rather than erroring the whole sweep.
-		if !ns.windowed() || ns.frozen.Load() {
+		if !ns.windowed() || ns.beginWrite() != nil {
 			continue
 		}
-		if _, err := s.rotate(ns); err != nil {
+		_, err := s.rotate(ns)
+		ns.endWrite()
+		if err != nil {
 			return rotated, err
 		}
 		rotated = append(rotated, ns.name)
@@ -88,28 +88,4 @@ func (s *Server) RotateAll() ([]string, error) {
 // a windowed snapshot).
 func (s *Server) Windowed() bool {
 	return s.defaultNS().windowed()
-}
-
-// nsRotate serves POST /v1/rotate (default namespace) and
-// POST /v2/namespaces/{ns}/rotate: one whole-namespace rotation,
-// answering with the rotated filters and their new epoch.
-func (s *Server) nsRotate(ns *namespace, w http.ResponseWriter, r *http.Request) {
-	if err := ns.writable(); err != nil {
-		writeError(w, http.StatusConflict, err)
-		return
-	}
-	rotated, err := s.rotate(ns)
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, ErrNotWindowed) {
-			status = http.StatusConflict
-		}
-		writeError(w, status, err)
-		return
-	}
-	epoch := uint64(0)
-	if win, ok := ns.mem.(shbf.Windowed); ok {
-		epoch = win.Window().Epoch
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"rotated": rotated, "epoch": epoch})
 }

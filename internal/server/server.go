@@ -15,6 +15,10 @@
 //     paths directly — the transport for small-batch-heavy serving
 //     where JSON decode dominates.
 //
+// Both, and the ShBU ingest listener (udp.go), decode into a
+// wire.Request and run it through one op core, dispatch (dispatch.go),
+// so every transport checks, applies and fails an op the same way.
+//
 // HTTP endpoints (all bodies JSON; {ns} is a namespace name; keys are
 // strings, optionally base64-encoded for binary element IDs such as
 // the paper's 13-byte 5-tuples):
@@ -73,6 +77,7 @@ import (
 	"shbf/internal/core"
 	"shbf/internal/ingest"
 	"shbf/internal/sharded"
+	"shbf/internal/wire"
 )
 
 // Config sizes the default namespace's filters (and is the base every
@@ -325,58 +330,48 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 
-	// v1: deprecated shims over the default namespace, byte-compatible
-	// with the pre-namespace daemon. The op argument is the route's
-	// metrics label, shared with the equivalent v2 route (and, where
-	// one exists, named after the equivalent wire op).
-	def := func(op string, h func(*namespace, http.ResponseWriter, *http.Request)) http.HandlerFunc {
-		return s.instrumentHTTP(op, func(w http.ResponseWriter, r *http.Request) { h(s.defaultNS(), w, r) })
+	// Every route with a wire op is a serveOp codec over dispatch,
+	// counted under the op's name like its ShBP frames. The tenant
+	// routes serve under /v2/namespaces/{ns}; the v1 ones bind the same
+	// handler to the default namespace at the same path under /v1,
+	// byte-compatible with the pre-namespace daemon.
+	for _, rt := range []struct {
+		method, path string
+		op           byte
+		shape        bodyShape
+		v1           bool
+	}{
+		{"POST", "/membership/add", wire.OpMembershipAdd, shapeKeys, true},
+		{"POST", "/membership/contains", wire.OpMembershipContains, shapeKeys, true},
+		{"POST", "/association/add", wire.OpAssociationAdd, shapeSet, true},
+		{"POST", "/association/remove", wire.OpAssociationRemove, shapeSet, true},
+		{"POST", "/association/classify", wire.OpAssociationQuery, shapeKeys, true},
+		{"POST", "/multiplicity/add", wire.OpMultiplicityAdd, shapeItems, true},
+		{"POST", "/multiplicity/remove", wire.OpMultiplicityRemove, shapeItems, true},
+		{"POST", "/multiplicity/count", wire.OpMultiplicityCount, shapeKeys, true},
+		{"POST", "/rotate", wire.OpRotate, shapeNone, true},
+		{"GET", "/stats", wire.OpStats, shapeNone, true},
+		{"GET", "/membership/envelope", wire.OpMembershipDump, shapeNone, false},
+		{"POST", "/merge", wire.OpMembershipMerge, shapeRaw, false},
+		{"GET", "/multiplicity/envelope", wire.OpMultiplicityDump, shapeNone, false},
+		{"POST", "/multiplicity/merge", wire.OpMultiplicityMerge, shapeRaw, false},
+		{"POST", "/freeze", wire.OpFreeze, shapeNone, false},
+	} {
+		h := s.serveOp(rt.op, rt.shape)
+		mux.HandleFunc(rt.method+" /v2/namespaces/{ns}"+rt.path, h)
+		if rt.v1 {
+			mux.HandleFunc(rt.method+" /v1"+rt.path, h)
+		}
 	}
-	mux.HandleFunc("POST /v1/membership/add", def("membership-add", s.nsMembershipAdd))
-	mux.HandleFunc("POST /v1/membership/contains", def("membership-contains", s.nsMembershipContains))
-	mux.HandleFunc("POST /v1/association/add", def("association-add", s.nsAssociationAdd))
-	mux.HandleFunc("POST /v1/association/remove", def("association-remove", s.nsAssociationRemove))
-	mux.HandleFunc("POST /v1/association/classify", def("association-query", s.nsAssociationClassify))
-	mux.HandleFunc("POST /v1/multiplicity/add", def("multiplicity-add", s.nsMultiplicityAdd))
-	mux.HandleFunc("POST /v1/multiplicity/remove", def("multiplicity-remove", s.nsMultiplicityRemove))
-	mux.HandleFunc("POST /v1/multiplicity/count", def("multiplicity-count", s.nsMultiplicityCount))
-	mux.HandleFunc("POST /v1/snapshot", s.instrumentHTTP("snapshot", s.handleSnapshot))
-	mux.HandleFunc("POST /v1/rotate", def("rotate", s.nsRotate))
-	mux.HandleFunc("GET /v1/stats", def("stats", s.nsStats))
+	mux.HandleFunc("POST /v2/namespaces", s.serveOp(wire.OpNamespaceCreate, shapeRaw))
+	mux.HandleFunc("GET /v2/namespaces", s.serveOp(wire.OpNamespaceList, shapeNone))
+	mux.HandleFunc("DELETE /v2/namespaces/{ns}", s.serveOp(wire.OpNamespaceDelete, shapeNone))
+	mux.HandleFunc("GET /v2/cluster", s.serveOp(wire.OpClusterMap, shapeNone))
 
-	// v2: namespace-scoped.
-	scoped := func(op string, h func(*namespace, http.ResponseWriter, *http.Request)) http.HandlerFunc {
-		return s.instrumentHTTP(op, func(w http.ResponseWriter, r *http.Request) {
-			ns, err := s.lookup(r.PathValue("ns"))
-			if err != nil {
-				writeError(w, http.StatusNotFound, err)
-				return
-			}
-			h(ns, w, r)
-		})
-	}
-	mux.HandleFunc("POST /v2/namespaces", s.instrumentHTTP("namespace-create", s.handleNamespaceCreate))
-	mux.HandleFunc("GET /v2/namespaces", s.instrumentHTTP("namespace-list", s.handleNamespaceList))
-	mux.HandleFunc("DELETE /v2/namespaces/{ns}", s.instrumentHTTP("namespace-delete", s.handleNamespaceDelete))
-	mux.HandleFunc("POST /v2/namespaces/{ns}/membership/add", scoped("membership-add", s.nsMembershipAdd))
-	mux.HandleFunc("POST /v2/namespaces/{ns}/membership/contains", scoped("membership-contains", s.nsMembershipContains))
-	mux.HandleFunc("POST /v2/namespaces/{ns}/association/add", scoped("association-add", s.nsAssociationAdd))
-	mux.HandleFunc("POST /v2/namespaces/{ns}/association/remove", scoped("association-remove", s.nsAssociationRemove))
-	mux.HandleFunc("POST /v2/namespaces/{ns}/association/classify", scoped("association-query", s.nsAssociationClassify))
-	mux.HandleFunc("POST /v2/namespaces/{ns}/multiplicity/add", scoped("multiplicity-add", s.nsMultiplicityAdd))
-	mux.HandleFunc("POST /v2/namespaces/{ns}/multiplicity/remove", scoped("multiplicity-remove", s.nsMultiplicityRemove))
-	mux.HandleFunc("POST /v2/namespaces/{ns}/multiplicity/count", scoped("multiplicity-count", s.nsMultiplicityCount))
-	mux.HandleFunc("POST /v2/namespaces/{ns}/rotate", scoped("rotate", s.nsRotate))
-	mux.HandleFunc("GET /v2/namespaces/{ns}/stats", scoped("stats", s.nsStats))
-	mux.HandleFunc("GET /v2/namespaces/{ns}/membership/envelope", scoped("membership-dump", s.nsMembershipEnvelope))
-	mux.HandleFunc("POST /v2/namespaces/{ns}/merge", scoped("membership-merge", s.nsMembershipMerge))
-	mux.HandleFunc("GET /v2/namespaces/{ns}/multiplicity/envelope", scoped("multiplicity-dump", s.nsMultiplicityEnvelope))
-	mux.HandleFunc("POST /v2/namespaces/{ns}/multiplicity/merge", scoped("multiplicity-merge", s.nsMultiplicityMerge))
-	mux.HandleFunc("POST /v2/namespaces/{ns}/freeze", scoped("freeze", s.nsFreeze))
-	mux.HandleFunc("POST /v2/snapshot", s.instrumentHTTP("snapshot", s.handleSnapshot))
+	snapshot := s.instrumentHTTP("snapshot", s.handleSnapshot)
+	mux.HandleFunc("POST /v1/snapshot", snapshot)
+	mux.HandleFunc("POST /v2/snapshot", snapshot)
 	mux.HandleFunc("GET /v2/stats", s.instrumentHTTP("daemon-stats", s.handleDaemonStats))
-	mux.HandleFunc("GET /v2/cluster", s.instrumentHTTP("cluster-map", s.handleClusterMap))
-
 	mux.HandleFunc("GET /healthz", s.instrumentHTTP("healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintln(w, `{"status":"ok"}`)

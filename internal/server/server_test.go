@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -311,9 +312,13 @@ func TestSnapshotSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1Compat: snapshots written by the pre-envelope format
-// (version 1: three bare length-prefixed blobs in fixed order) must
-// still restore.
+// TestSnapshotV1Compat: a pre-envelope snapshot (version 1: three bare
+// length-prefixed blobs in fixed order) is refused with an error that
+// names the digest-pipeline determinism reset, and the daemon keeps its
+// state. Every real v1 file predates that reset, so restoring one would
+// serve silent false negatives. (The container below wraps current-
+// pipeline blobs, which no daemon ever wrote as v1; only the version
+// byte matters.)
 func TestSnapshotV1Compat(t *testing.T) {
 	cfg := testConfig()
 	srv, err := New(cfg)
@@ -322,11 +327,7 @@ func TestSnapshotV1Compat(t *testing.T) {
 	}
 	def := srv.defaultNS()
 	def.mem.Add([]byte("v1-member"))
-	if err := def.mult.Insert([]byte("v1-flow")); err != nil {
-		t.Fatal(err)
-	}
 
-	// Hand-write the v1 container around the filters' own blobs.
 	buf := append([]byte(daemonSnapMagic), daemonSnapVersionV1)
 	for _, m := range []interface{ MarshalBinary() ([]byte, error) }{def.mem, def.assoc, def.mult} {
 		blob, err := m.MarshalBinary()
@@ -345,14 +346,17 @@ func TestSnapshotV1Compat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.LoadSnapshot(path); err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
+	restored.defaultNS().mem.Add([]byte("live"))
+	err = restored.LoadSnapshot(path)
+	if err == nil || !strings.Contains(err.Error(), "digest-pipeline determinism reset") {
+		t.Fatalf("v1 snapshot: got %v, want a refusal naming the digest-pipeline reset", err)
 	}
-	if !restored.defaultNS().mem.Contains([]byte("v1-member")) {
-		t.Fatal("v1 restore lost the member")
+	if ns := restored.defaultNS(); !ns.mem.Contains([]byte("live")) || ns.mem.Contains([]byte("v1-member")) {
+		t.Fatal("a refused v1 snapshot replaced the live state")
 	}
-	if c := restored.defaultNS().mult.Count([]byte("v1-flow")); c != 1 {
-		t.Fatalf("v1 restore count = %d, want 1", c)
+	cfg.SnapshotPath = path
+	if _, err := New(cfg); err == nil {
+		t.Fatal("a daemon started on a v1 snapshot")
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -22,10 +23,11 @@ import (
 // seeds travel inside the envelopes, so a restored daemon answers
 // identically even if its flags changed — the snapshot wins.
 //
-// Older containers still restore, into the default namespace:
-// version 2 (pre-namespace) is three bare concatenated envelopes;
-// version 1 (pre-envelope) is three bare length-prefixed MarshalBinary
-// blobs in fixed order.
+// Version 2 (pre-namespace) containers, three bare concatenated
+// envelopes, still restore into the default namespace. Version 1
+// (pre-envelope) files are refused: every one was written before the
+// digest-pipeline determinism reset (envelope.go), so its bits sit at
+// positions the current pipeline never probes.
 
 const (
 	daemonSnapVersion   = 3
@@ -33,6 +35,10 @@ const (
 	daemonSnapVersionV1 = 1
 	daemonSnapMagic     = "ShBD"
 )
+
+// errSnapshotV1 refuses a version 1 (pre-envelope) snapshot.
+var errSnapshotV1 = errors.New("server: version 1 (pre-envelope) snapshot refused: it predates the digest-pipeline " +
+	"determinism reset, so its filters would answer false negatives; rebuild the state from source data (OPERATIONS.md §6)")
 
 // SaveSnapshot atomically writes every namespace's filter state to
 // path (via a temp file and rename in the same directory) and returns
@@ -113,7 +119,7 @@ func (s *Server) LoadSnapshot(path string) error {
 		s.installNamespaces(map[string]*namespace{DefaultNamespace: ns})
 		return nil
 	case daemonSnapVersionV1:
-		return s.restoreV1(data[5:])
+		return errSnapshotV1
 	default:
 		return fmt.Errorf("server: unsupported snapshot version %d", data[4])
 	}
@@ -229,32 +235,6 @@ func restoreTrioPrefix(name string, buf []byte) (*namespace, []byte, error) {
 		return nil, nil, fmt.Errorf("server: namespace %q is missing a query kind", name)
 	}
 	return ns, buf, nil
-}
-
-// restoreV1 reads the pre-envelope format: three bare length-prefixed
-// blobs in membership, association, multiplicity order. V1 snapshots
-// predate the window kinds and namespaces, so they restore as the
-// classic filters of the default namespace.
-func (s *Server) restoreV1(buf []byte) error {
-	mem, assoc, mult := new(sharded.Filter), new(sharded.Association), new(sharded.Multiplicity)
-	for i, u := range []interface{ UnmarshalBinary([]byte) error }{mem, assoc, mult} {
-		n, sz := binary.Uvarint(buf)
-		if sz <= 0 || uint64(len(buf)-sz) < n {
-			return fmt.Errorf("server: snapshot section %d truncated", i)
-		}
-		buf = buf[sz:]
-		if err := u.UnmarshalBinary(buf[:n]); err != nil {
-			return fmt.Errorf("server: snapshot section %d: %w", i, err)
-		}
-		buf = buf[n:]
-	}
-	if len(buf) != 0 {
-		return fmt.Errorf("server: %d trailing snapshot bytes", len(buf))
-	}
-	s.installNamespaces(map[string]*namespace{DefaultNamespace: {
-		name: DefaultNamespace, mem: mem, assoc: assoc, mult: mult,
-	}})
-	return nil
 }
 
 // installNamespaces replaces the registry with a restored set and

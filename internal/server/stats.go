@@ -2,7 +2,6 @@ package server
 
 import (
 	"math"
-	"net/http"
 	"time"
 
 	"shbf"
@@ -129,12 +128,8 @@ type MultiplicityStats struct {
 	Window               *WindowStats     `json:"window,omitempty"`
 }
 
-// Snapshot gathers the default namespace's current stats (exported
-// for tests and for embedding shbfd in other processes); statsFor is
-// the per-tenant form behind /v1/stats and /v2/namespaces/{ns}/stats.
-func (s *Server) Snapshot() Stats { return s.statsFor(s.defaultNS()) }
-
-// statsFor assembles one namespace's stats. The "snapshots" counter is
+// statsFor assembles one namespace's stats, the body of /v1/stats,
+// /v2/namespaces/{ns}/stats and OpStats. The "snapshots" counter is
 // daemon-wide (persistence covers every tenant); the rest are the
 // namespace's own.
 func (s *Server) statsFor(ns *namespace) Stats {
@@ -252,10 +247,4 @@ func membershipStatsOf(ns *namespace) MembershipStats {
 	// mean of the per-shard rates.
 	ms.EstimatedFPR = fprSum / float64(len(mem))
 	return ms
-}
-
-// nsStats serves GET /v1/stats (default namespace) and
-// GET /v2/namespaces/{ns}/stats.
-func (s *Server) nsStats(ns *namespace, w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.statsFor(ns))
 }

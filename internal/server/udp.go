@@ -5,6 +5,7 @@ import (
 	"net"
 
 	"shbf/internal/ingest"
+	"shbf/internal/wire"
 )
 
 // The UDP ingest tier (shbfd -udp-addr). A listener accepts ShBU
@@ -20,36 +21,40 @@ import (
 // udpHandler adapts the namespace registry to ingest.Handler.
 type udpHandler struct{ s *Server }
 
-// HandleBatch applies a packed key batch as a membership add.
+// HandleBatch applies a packed key batch as a membership add, through
+// the op core like any other transport's request.
 func (h udpHandler) HandleBatch(name string, keys [][]byte) ingest.DropReason {
-	ns, err := h.s.lookup(name)
-	if err != nil {
+	var (
+		resp wire.Response
+		sc   dispatchScratch
+	)
+	h.s.dispatch(&wire.Request{Op: wire.OpMembershipAdd, Namespace: name, Keys: keys}, &resp, &sc)
+	switch resp.Status {
+	case wire.StatusOK:
+		return ingest.DropNone
+	case wire.StatusNotFound:
 		return ingest.DropUnknownNamespace
-	}
-	if ns.writable() != nil {
+	case wire.StatusConflict:
 		return ingest.DropFrozen
-	}
-	if ns.admit(len(keys), true) != nil {
+	case wire.StatusOverloaded:
 		return ingest.DropRate
 	}
-	if ns.mem.AddAll(keys) != nil {
-		return ingest.DropMerge
-	}
-	ns.stats.membershipAdd.Add(uint64(len(keys)))
-	return ingest.DropNone
+	return ingest.DropMerge
 }
 
 // HandleEnvelope union-merges a reassembled ShBE envelope, charging
 // the rate quota for the envelope's element count after decode but
-// before any mutation.
+// before any mutation. Like every write it holds the namespace's write
+// gate from the frozen check to the merge.
 func (h udpHandler) HandleEnvelope(name string, envelope []byte) ingest.DropReason {
 	ns, err := h.s.lookup(name)
 	if err != nil {
 		return ingest.DropUnknownNamespace
 	}
-	if ns.writable() != nil {
+	if ns.beginWrite() != nil {
 		return ingest.DropFrozen
 	}
+	defer ns.endWrite()
 	src, err := decodeMergeEnvelope(envelope)
 	if err != nil {
 		return ingest.DropDecode

@@ -138,7 +138,7 @@ func OpName(op byte) string {
 // ValidOp reports whether op is a defined op code.
 func ValidOp(op byte) bool { _, ok := opNames[op]; return ok }
 
-// Response status codes, mirroring the HTTP layer's status mapping.
+// Response status codes; HTTPStatus gives each one's HTTP status.
 const (
 	StatusOK         = 0
 	StatusBadRequest = 1 // malformed frame or arguments
@@ -168,6 +168,43 @@ func StatusName(st byte) string {
 		return n
 	}
 	return fmt.Sprintf("status-%d", st)
+}
+
+// httpStatuses is the one wire↔HTTP status table: the HTTP status the
+// daemon's HTTP API answers for each wire status. The daemon writes
+// its answers through it and the HTTP client reads them back through
+// it, so the two transports report the same status for one failure.
+var httpStatuses = [...]int{
+	StatusOK:         200,
+	StatusBadRequest: 400,
+	StatusNotFound:   404,
+	StatusConflict:   409,
+	StatusInternal:   500,
+	StatusOverloaded: 429, // Too Many Requests
+}
+
+// HTTPStatus returns the HTTP status answered for wire status st
+// (500 for codes outside the table).
+func HTTPStatus(st byte) int {
+	if int(st) < len(httpStatuses) {
+		return httpStatuses[st]
+	}
+	return 500
+}
+
+// StatusOfHTTP folds an HTTP status onto the wire statuses: every
+// status below 400 is StatusOK, and a failure status the table does
+// not name is StatusInternal.
+func StatusOfHTTP(code int) byte {
+	if code < 400 {
+		return StatusOK
+	}
+	for st, c := range httpStatuses {
+		if c == code {
+			return byte(st)
+		}
+	}
+	return StatusInternal
 }
 
 // Limits enforced by decoding, so a corrupt or hostile frame cannot

@@ -301,3 +301,18 @@ func TestDecodeReusesBuffers(t *testing.T) {
 		t.Fatalf("stale keys after reuse: %v", req.Keys)
 	}
 }
+
+// TestHTTPStatusTableRoundTrips: every wire status survives the trip
+// through its HTTP status and back, so the daemon's HTTP answers and
+// the HTTP client's reading of them can never disagree.
+func TestHTTPStatusTableRoundTrips(t *testing.T) {
+	for st := range len(statusNames) {
+		if got := StatusOfHTTP(HTTPStatus(byte(st))); got != byte(st) {
+			t.Errorf("status %s → HTTP %d → %s", StatusName(byte(st)), HTTPStatus(byte(st)), StatusName(got))
+		}
+	}
+	if HTTPStatus(StatusOK) != 200 || HTTPStatus(StatusOverloaded) != 429 || HTTPStatus(200) != 500 {
+		t.Errorf("HTTPStatus: ok %d, overloaded %d, unknown %d; want 200, 429, 500",
+			HTTPStatus(StatusOK), HTTPStatus(StatusOverloaded), HTTPStatus(200))
+	}
+}
