@@ -1,0 +1,232 @@
+package core
+
+import (
+	"math/bits"
+
+	"shbf/internal/bitvec"
+	"shbf/internal/hashing"
+)
+
+// This file holds the round-based group kernels of the sharded batch
+// reads: ContainsGroup, QueryGroup and CountGroup answer every key of
+// one shard group at once. A scalar probe is load → test → branch per
+// window, so a key's next load waits on its last one, and a rejected
+// key exits on a mispredicted branch; on an array far larger than the
+// cache each key then pays its misses one after another. The kernels
+// instead probe a group in rounds, and each round makes three passes
+// over the keys still live:
+//
+//  1. compute every live key's window position from its cached digest
+//     (arithmetic only);
+//  2. load every window with the two-word read and no data-dependent
+//     branch, so the loads' cache misses overlap;
+//  3. test every window and compact the surviving keys, without
+//     branches.
+//
+// A key leaves at the round where its scalar probe would stop, so the
+// kernels read exactly the windows the scalar loops read and answer
+// identically. The passes stay separate: fusing hashing, load and test
+// into one loop per round fills the reorder window with hash arithmetic
+// before enough loads are in flight, and measured slower.
+//
+// Two cases keep the scalar per-key loop: a group below RoundsCutoff,
+// where round set-up costs more than the overlap saves, and a filter
+// with an access counter attached, so the counted accounting behind the
+// paper's access figures is untouched.
+
+const (
+	// RoundsCutoff is the smallest group the round kernels probe in
+	// rounds; smaller groups run the scalar per-key loop.
+	RoundsCutoff = 16
+	// RoundsChunk bounds the keys one run of rounds probes, and so the
+	// size of a ProbeScratch; larger groups go in chunks.
+	RoundsChunk = 1024
+)
+
+// ProbeScratch is the round kernels' working memory. It belongs to one
+// caller, never to a filter, because many readers probe one shard
+// filter at once under its read lock. The zero value is ready to use;
+// its arrays are allocated on first use at RoundsChunk entries, so a
+// reused scratch keeps the kernels allocation-free.
+type ProbeScratch struct {
+	dg   []hashing.Digest // chunk keys' digests, by chunk index
+	st   []uint64         // per-key state, by chunk index
+	aux  []uint64         // per-key second operand, by chunk index
+	live []int32          // chunk indices of the keys still probing
+	pos  []int            // this round's window positions, by live slot
+	win  []uint64         // this round's windows, by live slot
+}
+
+// start loads one chunk: every key's digest, gathered from the
+// batch-indexed ds, and the live list holding every key.
+func (sc *ProbeScratch) start(idxs []int32, ds []hashing.Digest) []int32 {
+	if sc.dg == nil {
+		sc.dg = make([]hashing.Digest, RoundsChunk)
+		sc.st = make([]uint64, RoundsChunk)
+		sc.aux = make([]uint64, RoundsChunk)
+		sc.live = make([]int32, RoundsChunk)
+		sc.pos = make([]int, RoundsChunk)
+		sc.win = make([]uint64, RoundsChunk)
+	}
+	live := sc.live[:len(idxs)]
+	for t, j := range idxs {
+		sc.dg[t] = ds[j]
+		live[t] = int32(t)
+	}
+	return live
+}
+
+// gather runs a round's first two passes: the i-th window position of
+// every live key, then every window's load. It returns the windows by
+// live slot.
+func (sc *ProbeScratch) gather(live []int32, fam *hashing.Family, i, m int, bv *bitvec.Vector, mask uint64) []uint64 {
+	// Hoisted locals keep each pass's operands in registers.
+	dg, pos, win := sc.dg, sc.pos[:len(live)], sc.win[:len(live)]
+	for r, t := range live {
+		pos[r] = fam.ModFromDigest(i, dg[t], m)
+	}
+	for r, p := range pos {
+		win[r] = bv.WindowUncounted(p, mask)
+	}
+	return win
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it without a
+// branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// ContainsGroup sets dst[j] = ContainsDigest(ds[j]) for every batch
+// index j in idxs, probing the group in rounds (see above). dst and ds
+// are indexed by batch position; sc is the caller's scratch.
+func (f *Membership) ContainsGroup(dst []bool, idxs []int32, ds []hashing.Digest, sc *ProbeScratch) {
+	if len(idxs) < RoundsCutoff || f.bits.Counter() != nil {
+		for _, j := range idxs {
+			dst[j] = f.ContainsDigest(ds[j])
+		}
+		return
+	}
+	for len(idxs) > 0 {
+		n := min(len(idxs), RoundsChunk)
+		f.containsRounds(dst, idxs[:n], ds, sc)
+		idxs = idxs[n:]
+	}
+}
+
+// containsRounds probes one chunk. Round i reads pair i; a key leaves
+// at its first failed pair, and the keys live after the last round are
+// the members.
+func (f *Membership) containsRounds(dst []bool, idxs []int32, ds []hashing.Digest, sc *ProbeScratch) {
+	live := sc.start(idxs, ds)
+	pm := sc.st[:len(idxs)]
+	for t, j := range idxs {
+		pm[t] = uint64(1) | uint64(1)<<uint(f.offsetDigest(sc.dg[t]))
+		dst[j] = false
+	}
+	fam, bv, m, winMask := f.fam, f.bits, f.m, f.winMask
+	for i := 0; i < f.half && len(live) > 0; i++ {
+		win := sc.gather(live, fam, i, m, bv, winMask)
+		n := 0
+		for r, t := range live {
+			live[n] = t
+			n += b2i(win[r]&pm[t] == pm[t])
+		}
+		live = live[:n]
+	}
+	for _, t := range live {
+		dst[idxs[t]] = true
+	}
+}
+
+// QueryGroup sets dst[j] = QueryDigest(ds[j]) for every batch index j
+// in idxs, probing the group in rounds (see ContainsGroup).
+func (a *CountingAssociation) QueryGroup(dst []Region, idxs []int32, ds []hashing.Digest, sc *ProbeScratch) {
+	if len(idxs) < RoundsCutoff || a.bits.Counter() != nil {
+		for _, j := range idxs {
+			dst[j] = a.QueryDigest(ds[j])
+		}
+		return
+	}
+	for len(idxs) > 0 {
+		n := min(len(idxs), RoundsChunk)
+		a.queryRounds(dst, idxs[:n], ds, sc)
+		idxs = idxs[n:]
+	}
+}
+
+// queryRounds probes one chunk. Each key carries its candidate mask and
+// its two offsets (o1 in the low byte of aux, o2 in the next); a key
+// leaves when its mask reaches RegionNone.
+func (a *CountingAssociation) queryRounds(dst []Region, idxs []int32, ds []hashing.Digest, sc *ProbeScratch) {
+	live := sc.start(idxs, ds)
+	cand, offs := sc.st[:len(idxs)], sc.aux[:len(idxs)]
+	for t, d := range sc.dg[:len(idxs)] {
+		o1 := a.offset1(d)
+		o2 := o1 + hashing.Reduce(a.fam.FromDigest(a.k+1, d), a.halfRange) + 1
+		cand[t] = uint64(RegionS1Only | RegionBoth | RegionS2Only)
+		offs[t] = uint64(o1) | uint64(o2)<<8
+	}
+	fam, bv, m, winMask := a.fam, a.bits, a.m, a.winMask
+	for i := 0; i < a.k && len(live) > 0; i++ {
+		win := sc.gather(live, fam, i, m, bv, winMask)
+		n := 0
+		for r, t := range live {
+			w, o := win[r], offs[t]
+			c := cand[t] & (w&1 | w>>(o&63)&1<<1 | w>>(o>>8&63)&1<<2)
+			cand[t] = c
+			live[n] = t
+			n += b2i(c != 0)
+		}
+		live = live[:n]
+	}
+	for t, j := range idxs {
+		dst[j] = Region(cand[t])
+	}
+}
+
+// CountGroup sets dst[j] = CountDigest(ds[j]) for every batch index j
+// in idxs, probing the group in rounds (see ContainsGroup).
+func (f *CountingMultiplicity) CountGroup(dst []int, idxs []int32, ds []hashing.Digest, sc *ProbeScratch) {
+	if len(idxs) < RoundsCutoff || f.bits.Counter() != nil {
+		for _, j := range idxs {
+			dst[j] = f.CountDigest(ds[j])
+		}
+		return
+	}
+	for len(idxs) > 0 {
+		n := min(len(idxs), RoundsChunk)
+		f.countRounds(dst, idxs[:n], ds, sc)
+		idxs = idxs[n:]
+	}
+}
+
+// countRounds probes one chunk. Each key carries its candidate mask
+// and leaves when the mask reaches 0; the answer is the mask's highest
+// candidate.
+func (f *CountingMultiplicity) countRounds(dst []int, idxs []int32, ds []hashing.Digest, sc *ProbeScratch) {
+	live := sc.start(idxs, ds)
+	all := ^uint64(0) >> (64 - uint(f.c))
+	cand := sc.st[:len(idxs)]
+	for t := range cand {
+		cand[t] = all
+	}
+	fam, bv, m := f.fam, f.bits, f.m
+	for i := 0; i < f.k && len(live) > 0; i++ {
+		win := sc.gather(live, fam, i, m, bv, all)
+		n := 0
+		for r, t := range live {
+			c := cand[t] & win[r]
+			cand[t] = c
+			live[n] = t
+			n += b2i(c != 0)
+		}
+		live = live[:n]
+	}
+	for t, j := range idxs {
+		dst[j] = 64 - bits.LeadingZeros64(cand[t])
+	}
+}

@@ -107,9 +107,7 @@ func (a *Association) Query(e []byte) core.Region {
 // are written into dst (resized to len(keys)) at the keys' original
 // positions. Safe for concurrent use.
 func (a *Association) QueryAll(dst []core.Region, keys [][]byte) []core.Region {
-	return batchRead(&a.set, dst, keys, func(f *core.CountingAssociation, _ []byte, d hashing.Digest) core.Region {
-		return f.QueryDigest(d)
-	})
+	return batchRead(&a.set, dst, keys, (*core.CountingAssociation).QueryGroup)
 }
 
 // Kind returns core.KindShardedAssociation.

@@ -2,6 +2,9 @@ package sharded
 
 import (
 	"encoding/binary"
+	"math/rand/v2"
+	"runtime"
+	"sync"
 	"testing"
 
 	"shbf/internal/core"
@@ -24,11 +27,16 @@ const (
 func benchKeys(n int) [][]byte {
 	keys := make([][]byte, n)
 	for i := range keys {
-		k := make([]byte, 13)
-		binary.LittleEndian.PutUint64(k, uint64(i)*0x9e3779b97f4a7c15)
-		keys[i] = k
+		keys[i] = benchKey(uint64(i))
 	}
 	return keys
+}
+
+// benchKey is the i-th 13-byte benchmark key.
+func benchKey(i uint64) []byte {
+	k := make([]byte, 13)
+	binary.LittleEndian.PutUint64(k, i*0x9e3779b97f4a7c15)
+	return k
 }
 
 func benchFilter(b *testing.B) (*Filter, [][]byte) {
@@ -144,24 +152,143 @@ func BenchmarkBatchCountLoop(b *testing.B) {
 	}
 }
 
-// Sanity anchor for the benchmark pair: the two paths answer
-// identically on the benchmark workload.
-func TestBenchPathsAgree(t *testing.T) {
-	f, err := New(1<<20, 8, benchShards, core.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
+// The BatchProbeCold benchmarks measure the batch probe where the
+// round kernels pay off: arrays far larger than the cache, probed with
+// large batches that never repeat back to back, so nearly every window
+// load misses. They use the large-batch workload's geometry — 16
+// shards, k = 8, a 256 Mibit membership filter holding 8Mi members
+// and 64 Mibit association and multiplicity filters holding 256Ki keys
+// each (c = 57) — and cycle through coldBatches distinct 4096-key
+// batches. Contains probes are half members, half never-added keys;
+// Query and Count probe stored keys, as the workload does. Run with
+//
+//	go test -run '^$' -bench BatchProbeCold -cpu 1 ./internal/sharded/
+//
+// and read ns/key. The preload (a few seconds, ~150 MiB) is built once
+// per process and shared by the three.
+
+const (
+	coldBatch   = 4096
+	coldBatches = 64
+	coldMembers = 8 << 20
+	coldStored  = 1 << 18
+)
+
+type coldFixture struct {
+	member   *Filter
+	assoc    *Association
+	mult     *Multiplicity
+	contains [][][]byte // half members, half non-members
+	stored   [][][]byte // association and multiplicity keys
+}
+
+var (
+	coldOnce sync.Once
+	cold     coldFixture
+	coldErr  error
+)
+
+func coldSetup(b *testing.B) *coldFixture {
+	b.Helper()
+	coldOnce.Do(func() {
+		coldErr = cold.build()
+		// Collect the preload's garbage now, not in the first timed loop.
+		runtime.GC()
+	})
+	if coldErr != nil {
+		b.Fatal(coldErr)
 	}
-	keys := benchKeys(benchBatch)
-	if err := f.AddAll(keys[:512]); err != nil {
-		t.Fatal(err)
+	b.ReportAllocs()
+	b.ResetTimer()
+	return &cold
+}
+
+func (c *coldFixture) build() error {
+	var err error
+	if c.member, err = New(256<<20, 8, benchShards, core.WithSeed(1)); err != nil {
+		return err
 	}
-	batch := f.ContainsAll(nil, keys)
-	for i, e := range keys {
-		if batch[i] != f.Contains(e) {
-			t.Fatalf("mismatch at key %d", i)
+	if c.assoc, err = NewAssociation(64<<20, 8, benchShards, core.WithSeed(1)); err != nil {
+		return err
+	}
+	if c.mult, err = NewMultiplicity(64<<20, 8, 57, benchShards, core.WithSeed(1)); err != nil {
+		return err
+	}
+	batch := make([][]byte, coldBatch)
+	for base := uint64(0); base < coldMembers; base += coldBatch {
+		for i := range batch {
+			batch[i] = benchKey(base + uint64(i))
+		}
+		if err := c.member.AddAll(batch); err != nil {
+			return err
 		}
 	}
-	if n := f.N(); n != 512 {
-		t.Fatalf("N = %d after batch add, want 512", n)
+	// Stored keys come from their own index range; key i goes to S1,
+	// S2 or both by i mod 3 and is counted i mod 4 + 1 times.
+	const storedBase = 1 << 40
+	for i := uint64(0); i < coldStored; i++ {
+		e := benchKey(storedBase + i)
+		if i%3 != 1 {
+			if err := c.assoc.InsertS1(e); err != nil {
+				return err
+			}
+		}
+		if i%3 != 0 {
+			if err := c.assoc.InsertS2(e); err != nil {
+				return err
+			}
+		}
+		for range i%4 + 1 {
+			if err := c.mult.Insert(e); err != nil {
+				return err
+			}
+		}
 	}
+	rng := rand.New(rand.NewPCG(7, 7))
+	c.contains = make([][][]byte, coldBatches)
+	c.stored = make([][][]byte, coldBatches)
+	for n := range coldBatches {
+		c.contains[n] = make([][]byte, coldBatch)
+		c.stored[n] = make([][]byte, coldBatch)
+		for i := range coldBatch {
+			if i%2 == 0 {
+				c.contains[n][i] = benchKey(rng.Uint64N(coldMembers))
+			} else {
+				c.contains[n][i] = benchKey(coldMembers + rng.Uint64N(1<<39))
+			}
+			c.stored[n][i] = benchKey(storedBase + rng.Uint64N(coldStored))
+		}
+	}
+	return nil
+}
+
+func reportPerKey(b *testing.B) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/coldBatch, "ns/key")
+}
+
+func BenchmarkBatchProbeColdContains(b *testing.B) {
+	c := coldSetup(b)
+	dst := make([]bool, coldBatch)
+	for i := 0; i < b.N; i++ {
+		dst = c.member.ContainsAll(dst, c.contains[i%coldBatches])
+	}
+	reportPerKey(b)
+}
+
+func BenchmarkBatchProbeColdQuery(b *testing.B) {
+	c := coldSetup(b)
+	dst := make([]core.Region, coldBatch)
+	for i := 0; i < b.N; i++ {
+		dst = c.assoc.QueryAll(dst, c.stored[i%coldBatches])
+	}
+	reportPerKey(b)
+}
+
+func BenchmarkBatchProbeColdCount(b *testing.B) {
+	c := coldSetup(b)
+	dst := make([]int, coldBatch)
+	for i := 0; i < b.N; i++ {
+		dst = c.mult.CountAll(dst, c.stored[i%coldBatches])
+	}
+	reportPerKey(b)
 }

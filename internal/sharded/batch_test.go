@@ -1,0 +1,320 @@
+package sharded
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+
+	"shbf/internal/core"
+	"shbf/internal/memmodel"
+)
+
+// agreeSet is one filter of each batch-read kind, all built alike.
+type agreeSet struct {
+	member *Filter
+	assoc  *Association
+	mult   *Multiplicity
+}
+
+func newAgreeSet(t *testing.T, bits, shards int, opts ...core.Option) *agreeSet {
+	t.Helper()
+	f, err := New(bits, 8, shards, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAssociation(bits, 8, shards, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMultiplicity(bits, 8, 57, shards, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &agreeSet{member: f, assoc: a, mult: m}
+}
+
+// nonMember is the i-th key no test stores.
+func nonMember(i int) []byte { return benchKey(1<<40 + uint64(i)) }
+
+// store adds keys [lo, hi): all to the membership filter in one batch;
+// key i to S1, S2 or both by i mod 3 and to the multiset i mod 4 + 1
+// times. With tolerant set, inserts refused for a saturated counter are
+// skipped.
+func (s *agreeSet) store(t *testing.T, lo, hi int, tolerant bool) {
+	t.Helper()
+	ok := func(err error) {
+		t.Helper()
+		if err != nil && !(tolerant && errors.Is(err, core.ErrCounterSaturated)) {
+			t.Fatal(err)
+		}
+	}
+	keys := make([][]byte, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		keys = append(keys, benchKey(uint64(i)))
+	}
+	ok(s.member.AddAll(keys))
+	for j, e := range keys {
+		i := lo + j
+		if i%3 != 1 {
+			ok(s.assoc.InsertS1(e))
+		}
+		if i%3 != 0 {
+			ok(s.assoc.InsertS2(e))
+		}
+		for range i%4 + 1 {
+			ok(s.mult.Insert(e))
+		}
+	}
+}
+
+// probes returns n keys alternating stored keys (below stored) and
+// non-members.
+func probes(n, stored int) [][]byte {
+	keys := make([][]byte, n)
+	for i := range keys {
+		if i%2 == 0 && stored > 0 {
+			keys[i] = benchKey(uint64(i / 2 % stored))
+		} else {
+			keys[i] = nonMember(i)
+		}
+	}
+	return keys
+}
+
+// agree checks every batch answer against the per-key read. With an
+// access counter attached (mc non-nil) it also checks that each batch
+// read charged exactly the reads of its per-key loop.
+func (s *agreeSet) agree(t *testing.T, keys [][]byte, mc *memmodel.Counter) {
+	t.Helper()
+	reads := func(run func()) uint64 {
+		mc.Reset()
+		run()
+		return mc.Reads()
+	}
+	var (
+		in      []bool
+		regions []core.Region
+		counts  []int
+	)
+	batch := [3]uint64{
+		reads(func() { in = s.member.ContainsAll(nil, keys) }),
+		reads(func() { regions = s.assoc.QueryAll(nil, keys) }),
+		reads(func() { counts = s.mult.CountAll(nil, keys) }),
+	}
+	if len(in) != len(keys) || len(regions) != len(keys) || len(counts) != len(keys) {
+		t.Fatalf("answer lengths %d, %d, %d for %d keys", len(in), len(regions), len(counts), len(keys))
+	}
+	scalar := [3]uint64{
+		reads(func() {
+			for i, e := range keys {
+				if want := s.member.Contains(e); in[i] != want {
+					t.Fatalf("key %d: ContainsAll %v, Contains %v", i, in[i], want)
+				}
+			}
+		}),
+		reads(func() {
+			for i, e := range keys {
+				if want := s.assoc.Query(e); regions[i] != want {
+					t.Fatalf("key %d: QueryAll %v, Query %v", i, regions[i], want)
+				}
+			}
+		}),
+		reads(func() {
+			for i, e := range keys {
+				if want := s.mult.Count(e); counts[i] != want {
+					t.Fatalf("key %d: CountAll %d, Count %d", i, counts[i], want)
+				}
+			}
+		}),
+	}
+	if batch != scalar {
+		t.Fatalf("batch reads charged %v accesses, per-key reads %v", batch, scalar)
+	}
+}
+
+// saturate stores keys until every probe survives every round of every
+// kind: every membership pair passes, and no association or
+// multiplicity candidate mask empties.
+func (s *agreeSet) saturate(t *testing.T, keys [][]byte) {
+	t.Helper()
+	for next := 0; next < 1<<16; next += 1024 {
+		s.store(t, next, next+1024, true)
+		full := true
+		for _, e := range keys {
+			if !s.member.Contains(e) || s.assoc.Query(e) == core.RegionNone || s.mult.Count(e) == 0 {
+				full = false
+				break
+			}
+		}
+		if full {
+			return
+		}
+	}
+	t.Fatal("filters did not saturate")
+}
+
+// TestBenchPathsAgree pins the batch reads (ContainsAll, QueryAll,
+// CountAll), whose core kinds run the round kernels, to the per-key
+// reads at the kernels' edges: batch sizes around the round cutoff, a
+// single group larger than one chunk, a dense filter where keys leave
+// at every round, an empty one where every key leaves in the first
+// round, a saturated one where every key survives every round, and the
+// large-batch workload's fill probed with half non-members. With an
+// access counter attached, groups far above the cutoff must still
+// charge exactly the per-key loop's reads (the counted fallback).
+func TestBenchPathsAgree(t *testing.T) {
+	const maxProbe = 4096
+	sizes := []int{0, 1, core.RoundsCutoff - 1, core.RoundsCutoff, maxProbe}
+	cases := []struct {
+		name   string
+		bits   int
+		shards int
+		// stored is the number of keys stored; -1 saturates.
+		stored  int
+		counted bool
+	}{
+		// 32 bits per member, the large-batch membership fill.
+		{"large-batch fill", 1 << 20, benchShards, 1 << 15, false},
+		// One group of 4096 keys spans four chunks.
+		{"one shard", 1 << 20, 1, 1 << 15, false},
+		// 8 bits per member: non-members leave at every round.
+		{"dense", 1 << 16, benchShards, 1 << 13, false},
+		{"empty", 1 << 20, benchShards, 0, false},
+		{"saturated", 64 * benchShards, benchShards, -1, false},
+		{"counted", 1 << 20, 1, 1 << 15, true},
+	}
+	if maxProbe <= core.RoundsChunk {
+		t.Fatalf("largest batch %d does not exceed the chunk bound %d", maxProbe, core.RoundsChunk)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var mc *memmodel.Counter
+			opts := []core.Option{core.WithSeed(1)}
+			if c.counted {
+				mc = new(memmodel.Counter)
+				opts = append(opts, core.WithAccessCounter(mc))
+			}
+			s := newAgreeSet(t, c.bits, c.shards, opts...)
+			stored := c.stored
+			switch {
+			case stored < 0:
+				stored = 0
+				s.saturate(t, probes(maxProbe, 0))
+			case stored > 0:
+				s.store(t, 0, stored, false)
+				if n := s.member.N(); n != stored {
+					t.Fatalf("N = %d after batch add, want %d", n, stored)
+				}
+			}
+			for _, n := range sizes {
+				t.Run(fmt.Sprint(n), func(t *testing.T) {
+					s.agree(t, probes(n, stored), mc)
+				})
+			}
+		})
+	}
+}
+
+// TestConcurrentBatchReads runs batch readers of all three kinds on
+// shared shards while a writer stores fresh keys. Each group holds far
+// more keys than the round cutoff, so every reader runs the round
+// kernels inside a shard's read lock at the same time as others; any
+// scratch shared between them would race. Preloaded members must stay
+// present, association answers must contain the true region, and
+// counts must never fall below the preload.
+func TestConcurrentBatchReads(t *testing.T) {
+	const (
+		readers = 8
+		preload = 2048
+		batch   = 1024
+		iters   = 20
+		shards  = 4
+	)
+	if batch/shards < 4*core.RoundsCutoff {
+		t.Fatalf("groups of ~%d keys would not run the round kernels", batch/shards)
+	}
+	s := newAgreeSet(t, 1<<18, shards, core.WithSeed(3))
+	s.store(t, 0, preload, false)
+	region := func(i int) core.Region {
+		switch i % 3 {
+		case 0:
+			return core.RegionS1Only
+		case 1:
+			return core.RegionS2Only
+		}
+		return core.RegionBoth
+	}
+
+	stop := make(chan struct{})
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		fresh := make([][]byte, 64)
+		for n := 0; n < 1<<14; n += len(fresh) {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i := range fresh {
+				fresh[i] = nonMember(1<<20 + n + i)
+			}
+			if err := s.member.AddAll(fresh); err != nil {
+				t.Error(err)
+				return
+			}
+			for _, e := range fresh {
+				if err := s.assoc.InsertS1(e); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if err := s.mult.AddAll(fresh); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			keys := make([][]byte, batch)
+			var (
+				in      []bool
+				regions []core.Region
+				counts  []int
+			)
+			for it := range iters {
+				first := (r*iters + it) * 97 % preload
+				for i := range keys {
+					keys[i] = benchKey(uint64((first + i) % preload))
+				}
+				in = s.member.ContainsAll(in, keys)
+				regions = s.assoc.QueryAll(regions, keys)
+				counts = s.mult.CountAll(counts, keys)
+				for i := range keys {
+					k := (first + i) % preload
+					if !in[i] {
+						t.Errorf("reader %d: member %d absent", r, k)
+						return
+					}
+					if regions[i]&region(k) == 0 {
+						t.Errorf("reader %d: key %d answered %v, true region %v", r, k, regions[i], region(k))
+						return
+					}
+					if counts[i] < k%4+1 {
+						t.Errorf("reader %d: key %d counted %d, stored %d", r, k, counts[i], k%4+1)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-writerDone
+}

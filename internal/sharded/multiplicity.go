@@ -110,9 +110,7 @@ func (f *Multiplicity) AddAll(keys [][]byte) error {
 // written into dst (resized to len(keys)) at the keys' original
 // positions. Safe for concurrent use.
 func (f *Multiplicity) CountAll(dst []int, keys [][]byte) []int {
-	return batchRead(&f.set, dst, keys, func(c *core.CountingMultiplicity, _ []byte, d hashing.Digest) int {
-		return c.CountDigest(d)
-	})
+	return batchRead(&f.set, dst, keys, (*core.CountingMultiplicity).CountGroup)
 }
 
 // Kind returns core.KindShardedMultiplicity.

@@ -119,9 +119,7 @@ func (f *Filter) AddAll(keys [][]byte) error {
 // written into dst (resized to len(keys)) at the keys' original
 // positions. Safe for concurrent use.
 func (f *Filter) ContainsAll(dst []bool, keys [][]byte) []bool {
-	return batchRead(&f.set, dst, keys, func(m *core.Membership, _ []byte, d hashing.Digest) bool {
-		return m.ContainsDigest(d)
-	})
+	return batchRead(&f.set, dst, keys, (*core.Membership).ContainsGroup)
 }
 
 // N returns the total number of elements added across shards.

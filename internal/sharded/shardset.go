@@ -113,14 +113,17 @@ func (s *set[F]) size() int { return len(s.shards) }
 // per batch instead of once per key. Each key is digested exactly once
 // while grouping; the plan retains the digests so the per-shard loops
 // probe with them instead of re-hashing — one pass per key for the
-// whole batch operation, routing included. Plans are pooled so the
-// steady-state batch path does not allocate.
+// whole batch operation, routing included. The plan also carries the
+// round kernels' scratch (core.ProbeScratch): it belongs to this one
+// batch, so concurrent readers of one shard never share it. Plans are
+// pooled so the steady-state batch path does not allocate.
 type batchPlan struct {
 	shardOf []uint32
 	digests []hashing.Digest
 	starts  []int
 	next    []int
 	order   []int32
+	probe   core.ProbeScratch
 }
 
 var planPool = sync.Pool{New: func() any { return new(batchPlan) }}
@@ -141,11 +144,27 @@ func growInts(s []int, n int) []int {
 	return s[:n]
 }
 
-// batchRead runs query for every key, visiting each occupied shard
-// once under its read lock and writing answers into dst (resized to
-// len(keys)) at the keys' original positions. query receives the key
-// and its plan-cached digest; digest-only filters ignore the key.
-func batchRead[F, R any](s *set[F], dst []R, keys [][]byte, query func(F, []byte, hashing.Digest) R) []R {
+// groupProbe answers one shard group of a batch read: it sets dst[j]
+// for every batch index j in idxs, whose digest is ds[j], and may use
+// sc as scratch. The core kinds' round kernels (ContainsGroup,
+// QueryGroup, CountGroup) have this shape; eachKey adapts a per-key
+// query to it.
+type groupProbe[F, R any] func(f F, dst []R, idxs []int32, ds []hashing.Digest, sc *core.ProbeScratch)
+
+// eachKey adapts a per-key digest query to a groupProbe, for the kinds
+// without a round kernel (the windowed rings).
+func eachKey[F, R any](query func(F, hashing.Digest) R) groupProbe[F, R] {
+	return func(f F, dst []R, idxs []int32, ds []hashing.Digest, _ *core.ProbeScratch) {
+		for _, j := range idxs {
+			dst[j] = query(f, ds[j])
+		}
+	}
+}
+
+// batchRead answers every key, visiting each occupied shard once under
+// its read lock and handing probe that shard's whole group. Answers
+// land in dst (resized to len(keys)) at the keys' original positions.
+func batchRead[F, R any](s *set[F], dst []R, keys [][]byte, probe groupProbe[F, R]) []R {
 	if cap(dst) < len(keys) {
 		dst = make([]R, len(keys))
 	}
@@ -159,9 +178,7 @@ func batchRead[F, R any](s *set[F], dst []R, keys [][]byte, query func(F, []byte
 		}
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, j := range idxs {
-			dst[j] = query(sh.f, keys[j], p.digests[j])
-		}
+		probe(sh.f, dst, idxs, p.digests, &p.probe)
 		sh.mu.RUnlock()
 	}
 	return dst

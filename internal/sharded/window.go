@@ -230,9 +230,7 @@ func (f *Window) AddAll(keys [][]byte) error {
 // land in dst (resized to len(keys)) at the keys' original positions.
 // Safe for concurrent use.
 func (f *Window) ContainsAll(dst []bool, keys [][]byte) []bool {
-	return batchRead(&f.set, dst, keys, func(w *window.Membership, _ []byte, d hashing.Digest) bool {
-		return w.ContainsDigest(d)
-	})
+	return batchRead(&f.set, dst, keys, eachKey((*window.Membership).ContainsDigest))
 }
 
 // Rotate retires every shard's oldest generation and recycles it as
@@ -427,9 +425,7 @@ func (f *WindowMultiplicity) AddAll(keys [][]byte) error {
 // and summed across that shard's ring. Counts land in dst (resized to
 // len(keys)) at the keys' original positions. Safe for concurrent use.
 func (f *WindowMultiplicity) CountAll(dst []int, keys [][]byte) []int {
-	return batchRead(&f.set, dst, keys, func(w *window.Multiplicity, _ []byte, d hashing.Digest) int {
-		return w.CountDigest(d)
-	})
+	return batchRead(&f.set, dst, keys, eachKey((*window.Multiplicity).CountDigest))
 }
 
 // Rotate retires every shard's oldest generation, shard by shard under
@@ -616,9 +612,7 @@ func (f *WindowAssociation) Query(e []byte) core.Region {
 // and unioned across that shard's ring. Masks land in dst (resized to
 // len(keys)) at the keys' original positions. Safe for concurrent use.
 func (f *WindowAssociation) QueryAll(dst []core.Region, keys [][]byte) []core.Region {
-	return batchRead(&f.set, dst, keys, func(w *window.Association, _ []byte, d hashing.Digest) core.Region {
-		return w.QueryDigest(d)
-	})
+	return batchRead(&f.set, dst, keys, eachKey((*window.Association).QueryDigest))
 }
 
 // Rotate retires every shard's oldest generation, shard by shard under
