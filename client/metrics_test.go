@@ -217,6 +217,59 @@ func TestMetricsExactness(t *testing.T) {
 	}
 }
 
+// TestMidBatchRefusalCountsApplied: an update batch refused midway
+// keeps its applied prefix, so shbf_namespace_keys_total must count
+// that prefix, the same number the answer reports as applied: a
+// multiplicity add past MaxCount and an association remove that
+// reaches an absent key, over each transport.
+func TestMidBatchRefusalCountsApplied(t *testing.T) {
+	for _, transport := range []string{"shbp", "http"} {
+		t.Run(transport, func(t *testing.T) {
+			d := startDaemon(t, testConfig())
+			c := d.clients(t)[transport]
+			ns := c.Namespace("")
+			counter := func(op string) float64 {
+				t.Helper()
+				scrape, err := c.Metrics()
+				if err != nil {
+					t.Fatal(err)
+				}
+				key := fmt.Sprintf("shbf_namespace_keys_total{namespace=%q,op=%q}", "default", op)
+				v, ok := parseScrape(t, string(scrape))[key]
+				if !ok {
+					t.Fatalf("series %s missing from the scrape", key)
+				}
+				return v
+			}
+			applied := func(err error) float64 {
+				t.Helper()
+				var apiErr *client.Error
+				if !client.IsConflict(err) || !asError(err, &apiErr) {
+					t.Fatalf("want a mid-batch conflict, got %v", err)
+				}
+				return float64(apiErr.Applied)
+			}
+
+			// MaxCount is 16: 16 of the 20 increments apply.
+			err := ns.Counter().InsertCount([]byte("big"), 20)
+			if got, want := counter("multiplicity_update"), applied(err); got != want || want != 16 {
+				t.Fatalf("multiplicity_update = %v after a refusal that applied %v, want both 16", got, want)
+			}
+
+			assoc := ns.Associator()
+			present := []byte("present")
+			if err := assoc.InsertAll(1, [][]byte{present}); err != nil {
+				t.Fatal(err)
+			}
+			before := counter("association_update")
+			err = assoc.DeleteAll(1, [][]byte{present, []byte("absent")})
+			if got, want := counter("association_update")-before, applied(err); got != want || want != 1 {
+				t.Fatalf("association_update rose by %v after a refusal that applied %v, want both 1", got, want)
+			}
+		})
+	}
+}
+
 // TestMetricsTransportByteIdentity: after identical traffic, the ShBP
 // metrics op and GET /metrics serve the same bytes — the acceptance
 // contract that lets one dashboard scrape either port.

@@ -131,6 +131,20 @@ func (v *Vector) WindowUncounted(pos int, mask uint64) uint64 {
 	return (v.words[wi]>>off | v.words[wi+1]<<(64-off)) & mask
 }
 
+// OrWindowUncounted is the write form of WindowUncounted: it sets bit
+// pos+b for every set bit b of w, with the same two-word access and no
+// branch. The second word is always written; when pos is word-aligned
+// its share of w is 0 (Go defines x >> 64 as 0), so it is unchanged.
+// It charges no access, so the same two caller rules apply: every set
+// bit of w must land inside the vector (pos + 63 − LeadingZeros64(w)
+// < Len), which keeps the guard word zero, and callers must use Set
+// instead whenever an access counter may be attached.
+func (v *Vector) OrWindowUncounted(pos int, w uint64) {
+	wi, off := pos>>6, uint(pos&63)
+	v.words[wi] |= w << off
+	v.words[wi+1] |= w >> (64 - off)
+}
+
 // Words returns the vector's backing words — data words in
 // least-significant-bit-first order followed by the trailing guard
 // word. The slice aliases live storage; callers (the frozen encoder)

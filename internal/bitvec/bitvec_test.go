@@ -2,6 +2,7 @@ package bitvec
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -77,6 +78,43 @@ func TestWindowMatchesNaiveBits(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestOrWindowMatchesSet(t *testing.T) {
+	// Property: OrWindowUncounted(pos, w) leaves the vector equal to
+	// Set(pos+b) for every set bit b of w, at aligned, unaligned and
+	// last-word positions alike, and never touches the guard word.
+	const n = 1000
+	got, want := New(n), New(n)
+	f := func(pos uint16, w uint64) bool {
+		p := int(pos) % n
+		if room := n - p; room < 64 {
+			w &= 1<<uint(room) - 1
+		}
+		got.Reset()
+		want.Reset()
+		got.OrWindowUncounted(p, w)
+		for b := 0; b < 64; b++ {
+			if w>>uint(b)&1 == 1 {
+				want.Set(p + b)
+			}
+		}
+		return got.Equal(want) && got.words[len(got.words)-1] == 0
+	}
+	cfg := &quick.Config{MaxCount: 2000, Values: func(args []reflect.Value, rng *rand.Rand) {
+		pos := rng.Intn(n)
+		switch rng.Intn(3) {
+		case 0:
+			pos &^= 63
+		case 1:
+			pos = n - 1 - rng.Intn(64)
+		}
+		args[0] = reflect.ValueOf(uint16(pos))
+		args[1] = reflect.ValueOf(rng.Uint64() & rng.Uint64())
+	}}
+	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
 }

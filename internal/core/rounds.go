@@ -8,13 +8,15 @@ import (
 )
 
 // This file holds the round-based group kernels of the sharded batch
-// reads: ContainsGroup, QueryGroup and CountGroup answer every key of
-// one shard group at once. A scalar probe is load → test → branch per
-// window, so a key's next load waits on its last one, and a rejected
-// key exits on a mispredicted branch; on an array far larger than the
-// cache each key then pays its misses one after another. The kernels
-// instead probe a group in rounds, and each round makes three passes
-// over the keys still live:
+// paths: ContainsGroup, QueryGroup and CountGroup answer every key of
+// one shard group at once, and AddGroup inserts every key of one. The
+// write side is described at addRounds; the read side follows here.
+// A scalar probe is load → test → branch per window, so a key's next
+// load waits on its last one, and a rejected key exits on a
+// mispredicted branch; on an array far larger than the cache each key
+// then pays its misses one after another. The read kernels instead
+// probe a group in rounds, and each round makes three passes over the
+// keys still live:
 //
 //  1. compute every live key's window position from its cached digest
 //     (arithmetic only);
@@ -29,10 +31,10 @@ import (
 // into one loop per round fills the reorder window with hash arithmetic
 // before enough loads are in flight, and measured slower.
 //
-// Two cases keep the scalar per-key loop: a group below RoundsCutoff,
-// where round set-up costs more than the overlap saves, and a filter
-// with an access counter attached, so the counted accounting behind the
-// paper's access figures is untouched.
+// Every kernel keeps the scalar per-key loop in two cases: a group
+// below RoundsCutoff, where round set-up costs more than the overlap
+// saves, and a filter with an access counter attached, so the counted
+// accounting behind the paper's access figures is untouched.
 
 const (
 	// RoundsCutoff is the smallest group the round kernels probe in
@@ -57,9 +59,9 @@ type ProbeScratch struct {
 	win  []uint64         // this round's windows, by live slot
 }
 
-// start loads one chunk: every key's digest, gathered from the
-// batch-indexed ds, and the live list holding every key.
-func (sc *ProbeScratch) start(idxs []int32, ds []hashing.Digest) []int32 {
+// load gathers one chunk's digests from the batch-indexed ds and
+// returns them by chunk index.
+func (sc *ProbeScratch) load(idxs []int32, ds []hashing.Digest) []hashing.Digest {
 	if sc.dg == nil {
 		sc.dg = make([]hashing.Digest, RoundsChunk)
 		sc.st = make([]uint64, RoundsChunk)
@@ -68,9 +70,18 @@ func (sc *ProbeScratch) start(idxs []int32, ds []hashing.Digest) []int32 {
 		sc.pos = make([]int, RoundsChunk)
 		sc.win = make([]uint64, RoundsChunk)
 	}
-	live := sc.live[:len(idxs)]
+	dg := sc.dg[:len(idxs)]
 	for t, j := range idxs {
-		sc.dg[t] = ds[j]
+		dg[t] = ds[j]
+	}
+	return dg
+}
+
+// start loads one chunk and returns the live list holding every key.
+func (sc *ProbeScratch) start(idxs []int32, ds []hashing.Digest) []int32 {
+	sc.load(idxs, ds)
+	live := sc.live[:len(idxs)]
+	for t := range live {
 		live[t] = int32(t)
 	}
 	return live
@@ -140,6 +151,49 @@ func (f *Membership) containsRounds(dst []bool, idxs []int32, ds []hashing.Diges
 	for _, t := range live {
 		dst[idxs[t]] = true
 	}
+}
+
+// AddGroup inserts the element of every batch index j in idxs, whose
+// digest is ds[j], setting exactly the bits AddDigest sets. Large
+// groups are written in rounds (see addRounds); sc is the caller's
+// scratch.
+func (f *Membership) AddGroup(idxs []int32, ds []hashing.Digest, sc *ProbeScratch) {
+	if len(idxs) < RoundsCutoff || f.bits.Counter() != nil {
+		for _, j := range idxs {
+			f.AddDigest(ds[j])
+		}
+		return
+	}
+	for len(idxs) > 0 {
+		n := min(len(idxs), RoundsChunk)
+		f.addRounds(idxs[:n], ds, sc)
+		idxs = idxs[n:]
+	}
+}
+
+// addRounds writes one chunk. Every key stays for all k/2 rounds, and
+// round i sets every key's pair i in two passes: the pair's window
+// positions, then each key's pair mask (bits 0 and o(e)) ORed in at
+// its position. No store waits on a branch or on another key's store,
+// so the chunk's cache misses overlap; on an array far larger than the
+// cache the per-key AddDigest loop measured about twice as slow. A
+// load-only pass ahead of the OR pass measured no faster.
+func (f *Membership) addRounds(idxs []int32, ds []hashing.Digest, sc *ProbeScratch) {
+	dg := sc.load(idxs, ds)
+	pm, pos := sc.st[:len(dg)], sc.pos[:len(dg)]
+	for t, d := range dg {
+		pm[t] = uint64(1) | uint64(1)<<uint(f.offsetDigest(d))
+	}
+	fam, bv, m := f.fam, f.bits, f.m
+	for i := 0; i < f.half; i++ {
+		for t, d := range dg {
+			pos[t] = fam.ModFromDigest(i, d, m)
+		}
+		for t, p := range pos {
+			bv.OrWindowUncounted(p, pm[t])
+		}
+	}
+	f.n += len(dg)
 }
 
 // QueryGroup sets dst[j] = QueryDigest(ds[j]) for every batch index j

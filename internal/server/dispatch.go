@@ -41,8 +41,9 @@ var (
 	// errBadRequest classes an error as the caller's fault.
 	errBadRequest = errors.New("bad request")
 	// errMidBatch classes a filter update that failed partway through a
-	// batch: the updates before it stay applied, resp.Applied counts
-	// them, and the HTTP answer reports them as "applied".
+	// batch: the updates before it stay applied, resp.Applied and the
+	// namespace's key counters count them, and the HTTP answer reports
+	// them as "applied".
 	errMidBatch = errors.New("batch failed midway")
 	// errMetricsDisabled answers OpMetrics on a NoMetrics daemon.
 	errMetricsDisabled = errors.New("server: metrics disabled")
@@ -234,9 +235,10 @@ func (s *Server) apply(req *wire.Request, resp *wire.Response, sc *dispatchScrat
 		update := associationOp(ns, req.Op, req.Set)
 		for i, k := range req.Keys {
 			if err := update(k); err != nil {
-				// Earlier keys stay applied; report the split point so
-				// the client can resume.
+				// Earlier keys stay applied; count them and report the
+				// split point so the client can resume.
 				resp.Applied = uint64(i)
+				ns.stats.associationUpdate.Add(resp.Applied)
 				return classed{err, errMidBatch}
 			}
 		}
@@ -262,6 +264,7 @@ func (s *Server) apply(req *wire.Request, resp *wire.Response, sc *dispatchScrat
 			}
 			for range count {
 				if err := update(k); err != nil {
+					ns.stats.multiplicityUpdate.Add(resp.Applied)
 					return classed{fmt.Errorf("item %d: %w", i, err), errMidBatch}
 				}
 				resp.Applied++

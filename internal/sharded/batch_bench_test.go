@@ -292,3 +292,43 @@ func BenchmarkBatchProbeColdCount(b *testing.B) {
 	}
 	reportPerKey(b)
 }
+
+// BenchmarkBatchAddCold measures the batch add where the write kernel
+// pays off: the large-batch workload's membership geometry (256 Mibit
+// across 16 shards, k = 8), far larger than the cache, written with
+// coldBatches distinct 4096-key batches in turn, so nearly every pair's
+// word misses. One untimed pass over the batches writes ~128 bits into
+// every 4 KiB page, so the timed loop pays no first-touch page faults.
+// It builds its own filter, so the BatchProbeCold fixture's fill does
+// not drift. Run with
+//
+//	go test -run '^$' -bench BatchAddCold -cpu 1 ./internal/sharded/
+//
+// and read ns/key.
+func BenchmarkBatchAddCold(b *testing.B) {
+	f, err := New(256<<20, 8, benchShards, core.WithSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	batches := make([][][]byte, coldBatches)
+	for n := range batches {
+		batches[n] = make([][]byte, coldBatch)
+		for i := range batches[n] {
+			batches[n][i] = benchKey(uint64(n*coldBatch + i))
+		}
+	}
+	for _, keys := range batches {
+		if err := f.AddAll(keys); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runtime.GC()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.AddAll(batches[i%coldBatches]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerKey(b)
+}

@@ -1,12 +1,14 @@
 package sharded
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
 	"shbf/internal/core"
+	"shbf/internal/hashing"
 	"shbf/internal/memmodel"
 )
 
@@ -317,4 +319,273 @@ func TestConcurrentBatchReads(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-writerDone
+}
+
+// batchWriter is the surface TestBatchWritesAgree compares: a batch
+// write, the filter's bytes and its element count.
+type batchWriter interface {
+	AddAll(keys [][]byte) error
+	MarshalBinary() ([]byte, error)
+	N() int
+}
+
+// writeKind is one batch-write kind: build returns an empty filter of
+// the given geometry, and one applies a single key through the per-key
+// Add or Insert.
+type writeKind struct {
+	name  string
+	build func(bits, shards int, opts []core.Option) (batchWriter, error)
+	one   func(f batchWriter, e []byte) error
+	// counted reports whether build honours core.WithAccessCounter.
+	counted bool
+}
+
+var writeKinds = []writeKind{
+	{
+		name: "Filter",
+		build: func(bits, shards int, opts []core.Option) (batchWriter, error) {
+			return New(bits, 8, shards, opts...)
+		},
+		one:     func(f batchWriter, e []byte) error { f.(*Filter).Add(e); return nil },
+		counted: true,
+	},
+	{
+		name: "Window",
+		build: func(bits, shards int, _ []core.Option) (batchWriter, error) {
+			return NewWindow(core.Spec{Kind: core.KindWindowShardedMembership,
+				M: bits, K: 8, Shards: shards, Generations: 3, Seed: 1})
+		},
+		one: func(f batchWriter, e []byte) error { f.(*Window).Add(e); return nil },
+	},
+	{
+		name: "Multiplicity",
+		build: func(bits, shards int, opts []core.Option) (batchWriter, error) {
+			return NewMultiplicity(bits, 8, 57, shards, opts...)
+		},
+		one:     func(f batchWriter, e []byte) error { return f.(*Multiplicity).Insert(e) },
+		counted: true,
+	},
+}
+
+// perKeyWrite is a batch write spelled out one key at a time, in the
+// order the batch path promises: shard by shard in index order, each
+// shard's keys in batch order, stopping at the first failure with the
+// failing key's batch index.
+func perKeyWrite(keys [][]byte, shards int, one func([]byte) error) error {
+	mask := uint64(shards - 1)
+	for s := uint64(0); s <= mask; s++ {
+		for j, e := range keys {
+			if hashing.KeyDigest(e).Shard(mask) != s {
+				continue
+			}
+			if err := one(e); err != nil {
+				return fmt.Errorf("sharded: key %d: %w", j, err)
+			}
+		}
+	}
+	return nil
+}
+
+// hotKey is the key the overflow case repeats in every batch.
+var hotKey = benchKey(1 << 50)
+
+// TestBatchWritesAgree pins each batch write (Filter.AddAll and
+// Window.AddAll, whose groups run the membership write kernel, and
+// Multiplicity.AddAll, which applies per key) to the per-key loop on a
+// twin filter: after every batch both filters marshal to identical
+// bytes, report equal N() and return the same error. Batches of each
+// size in turn land on the same pair, so later batches write into an
+// already filled array. The cases cover the kernel's edges: sizes
+// around the round cutoff, a one-shard group spanning several chunks,
+// keys repeated within a batch, a dense array where different keys'
+// pairs share words, an access counter (the batch must charge exactly
+// the per-key loop's accesses), and a multiplicity batch that overflows
+// midway (same error text, same keys applied).
+func TestBatchWritesAgree(t *testing.T) {
+	sizes := []int{0, 1, core.RoundsCutoff - 1, core.RoundsCutoff, 4096}
+	cases := []struct {
+		name    string
+		bits    int
+		shards  int
+		counted bool
+		// key returns the i-th key of the batch holding keys [lo, lo+n).
+		key func(lo, n, i int) []byte
+	}{
+		{"distinct", 1 << 20, benchShards, false, nil},
+		// One group of 4096 keys spans four chunks.
+		{"one shard", 1 << 20, 1, false, nil},
+		{"repeated keys", 1 << 20, benchShards, false, func(lo, n, i int) []byte {
+			return benchKey(uint64(lo + i%(n/4+1)))
+		}},
+		// 1024 bits per shard: different keys' pairs share words.
+		{"dense", 1 << 14, benchShards, false, nil},
+		{"counted", 1 << 20, 1, true, nil},
+		// Every third key is the same key: its multiplicity passes
+		// c = 57 midway through the last batch.
+		{"overflow", 1 << 20, benchShards, false, func(lo, _, i int) []byte {
+			if i%3 == 0 {
+				return hotKey
+			}
+			return benchKey(uint64(lo + i))
+		}},
+	}
+	if sizes[len(sizes)-1] <= core.RoundsChunk {
+		t.Fatalf("largest batch %d does not exceed the chunk bound %d", sizes[len(sizes)-1], core.RoundsChunk)
+	}
+	for _, kind := range writeKinds {
+		for _, c := range cases {
+			if c.counted && !kind.counted {
+				continue
+			}
+			t.Run(kind.name+"/"+c.name, func(t *testing.T) {
+				var mcs [2]memmodel.Counter
+				var fs [2]batchWriter
+				for i := range fs {
+					opts := []core.Option{core.WithSeed(1)}
+					if c.counted {
+						opts = append(opts, core.WithAccessCounter(&mcs[i]))
+					}
+					f, err := kind.build(c.bits, c.shards, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fs[i] = f
+				}
+				batch, twin := fs[0], fs[1]
+				lo, failed := 0, false
+				for _, n := range sizes {
+					keys := make([][]byte, n)
+					for i := range keys {
+						if c.key != nil {
+							keys[i] = c.key(lo, n, i)
+						} else {
+							keys[i] = benchKey(uint64(lo + i))
+						}
+					}
+					lo += n
+					errBatch := batch.AddAll(keys)
+					errTwin := perKeyWrite(keys, c.shards, func(e []byte) error { return kind.one(twin, e) })
+					if fmt.Sprint(errBatch) != fmt.Sprint(errTwin) {
+						t.Fatalf("%d keys: AddAll error %v, per-key loop %v", n, errBatch, errTwin)
+					}
+					failed = failed || errBatch != nil
+					got, err := batch.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := twin.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%d keys: AddAll and the per-key loop leave different bytes", n)
+					}
+					if batch.N() != twin.N() {
+						t.Fatalf("%d keys: N() = %d after AddAll, %d after the per-key loop", n, batch.N(), twin.N())
+					}
+					if mcs[0] != mcs[1] {
+						t.Fatalf("%d keys: AddAll charged %v, the per-key loop %v", n, &mcs[0], &mcs[1])
+					}
+				}
+				if overflow := c.name == "overflow" && kind.name == "Multiplicity"; failed != overflow {
+					t.Fatalf("some batch failed: %v, want %v", failed, overflow)
+				}
+			})
+		}
+	}
+}
+
+// TestConcurrentBatchWrites runs batch writers on shared shards while
+// batch readers probe. Each writer's groups hold 256 keys, far above
+// the round cutoff, so writers run the write kernel under a shard's
+// write lock while others wait on it or read; any scratch shared
+// between them would race. Preloaded members must stay present
+// throughout, and afterwards every written key must be present and N()
+// must count every write.
+func TestConcurrentBatchWrites(t *testing.T) {
+	const (
+		writers = 4
+		readers = 4
+		preload = 2048
+		batch   = 1024
+		iters   = 8
+		shards  = 4
+	)
+	if batch/shards < 4*core.RoundsCutoff {
+		t.Fatalf("groups of ~%d keys would not run the write kernel", batch/shards)
+	}
+	f, err := New(1<<20, 8, shards, core.WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// writerKey is writer w's i-th key; the ranges are disjoint from
+	// each other and from the preload.
+	writerKey := func(w, i int) []byte { return nonMember(1<<24*(w+1) + i) }
+	if err := f.AddAll(benchKeys(preload)); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var rg sync.WaitGroup
+	for r := range readers {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			keys := make([][]byte, batch)
+			var in []bool
+			for it := 0; ; it++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				first := (r*31 + it*97) % preload
+				for i := range keys {
+					keys[i] = benchKey(uint64((first + i) % preload))
+				}
+				in = f.ContainsAll(in, keys)
+				for i, ok := range in {
+					if !ok {
+						t.Errorf("reader %d: member %d absent", r, (first+i)%preload)
+						return
+					}
+				}
+			}
+		}()
+	}
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			keys := make([][]byte, batch)
+			for it := range iters {
+				for i := range keys {
+					keys[i] = writerKey(w, it*batch+i)
+				}
+				if err := f.AddAll(keys); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	rg.Wait()
+
+	if n, want := f.N(), preload+writers*iters*batch; n != want {
+		t.Fatalf("N() = %d, want %d", n, want)
+	}
+	keys := make([][]byte, iters*batch)
+	for w := range writers {
+		for i := range keys {
+			keys[i] = writerKey(w, i)
+		}
+		for i, ok := range f.ContainsAll(nil, keys) {
+			if !ok {
+				t.Fatalf("writer %d's key %d absent", w, i)
+			}
+		}
+	}
 }

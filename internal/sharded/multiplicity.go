@@ -101,7 +101,7 @@ func (f *Multiplicity) Count(e []byte) int {
 // error reports the failing key's batch index. Safe for concurrent
 // use.
 func (f *Multiplicity) AddAll(keys [][]byte) error {
-	return batchWrite(&f.set, keys, (*core.CountingMultiplicity).InsertDigest)
+	return batchWrite(&f.set, keys, eachInsert((*core.CountingMultiplicity).InsertDigest))
 }
 
 // CountAll queries a whole batch, grouping keys by shard so each

@@ -102,15 +102,13 @@ func (f *Filter) Contains(e []byte) bool {
 }
 
 // AddAll inserts a whole batch, grouping keys by shard so each shard's
-// write lock is taken once per batch instead of once per key; each key
-// is digested once for both routing and encoding. Safe for concurrent
-// use. The error is always nil (the signature matches the shared batch
-// interface).
+// write lock is taken once per batch instead of once per key, and the
+// shard's whole group is written by one call (core.Membership.AddGroup,
+// which writes large groups in rounds); each key is digested once for
+// both routing and encoding. Safe for concurrent use. The error is
+// always nil (the signature matches the shared batch interface).
 func (f *Filter) AddAll(keys [][]byte) error {
-	return batchWrite(&f.set, keys, func(m *core.Membership, _ []byte, d hashing.Digest) error {
-		m.AddDigest(d)
-		return nil
-	})
+	return batchWrite(&f.set, keys, addGroup((*core.Membership).AddGroup))
 }
 
 // ContainsAll queries a whole batch, grouping keys by shard so each

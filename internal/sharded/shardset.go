@@ -184,11 +184,38 @@ func batchRead[F, R any](s *set[F], dst []R, keys [][]byte, probe groupProbe[F, 
 	return dst
 }
 
-// batchWrite runs apply for every key, visiting each occupied shard
-// once under its write lock. The first failure stops the batch — keys
-// already applied stay applied — and the error reports the failing
-// key's batch index.
-func batchWrite[F any](s *set[F], keys [][]byte, apply func(F, []byte, hashing.Digest) error) error {
+// groupWrite applies one shard group of a batch write: every batch
+// index j in idxs, whose key is keys[j] and digest ds[j]. It may use sc
+// as scratch. The membership kinds' group inserts (AddGroup) take this
+// shape through addGroup; eachInsert adapts a per-key update to it.
+type groupWrite[F any] func(f F, keys [][]byte, idxs []int32, ds []hashing.Digest, sc *core.ProbeScratch) error
+
+// addGroup adapts an infallible group insert to a groupWrite.
+func addGroup[F any](add func(F, []int32, []hashing.Digest, *core.ProbeScratch)) groupWrite[F] {
+	return func(f F, _ [][]byte, idxs []int32, ds []hashing.Digest, sc *core.ProbeScratch) error {
+		add(f, idxs, ds, sc)
+		return nil
+	}
+}
+
+// eachInsert adapts a per-key update to a groupWrite, for the counting
+// kinds: the first failure stops the group, and the error reports the
+// failing key's batch index.
+func eachInsert[F any](insert func(F, []byte, hashing.Digest) error) groupWrite[F] {
+	return func(f F, keys [][]byte, idxs []int32, ds []hashing.Digest, _ *core.ProbeScratch) error {
+		for _, j := range idxs {
+			if err := insert(f, keys[j], ds[j]); err != nil {
+				return fmt.Errorf("sharded: key %d: %w", j, err)
+			}
+		}
+		return nil
+	}
+}
+
+// batchWrite applies every key, visiting each occupied shard once
+// under its write lock and handing write that shard's whole group. The
+// first failure stops the batch; keys already applied stay applied.
+func batchWrite[F any](s *set[F], keys [][]byte, write groupWrite[F]) error {
 	p := s.group(keys)
 	defer p.release()
 	for i := range s.shards {
@@ -198,13 +225,11 @@ func batchWrite[F any](s *set[F], keys [][]byte, apply func(F, []byte, hashing.D
 		}
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for _, j := range idxs {
-			if err := apply(sh.f, keys[j], p.digests[j]); err != nil {
-				sh.mu.Unlock()
-				return fmt.Errorf("sharded: key %d: %w", j, err)
-			}
-		}
+		err := write(sh.f, keys, idxs, p.digests, &p.probe)
 		sh.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

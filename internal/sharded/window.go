@@ -214,14 +214,12 @@ func (f *Window) Contains(e []byte) bool {
 }
 
 // AddAll inserts a whole batch, grouping keys by shard so each shard's
-// write lock is taken once per batch; each key is digested once for
+// write lock is taken once per batch and its whole group goes to the
+// head generation's group insert; each key is digested once for
 // routing and encoding. Safe for concurrent use. The error is always
 // nil (the signature matches the shared batch interface).
 func (f *Window) AddAll(keys [][]byte) error {
-	return batchWrite(&f.set, keys, func(w *window.Membership, _ []byte, d hashing.Digest) error {
-		w.AddDigest(d)
-		return nil
-	})
+	return batchWrite(&f.set, keys, addGroup((*window.Membership).AddGroup))
 }
 
 // ContainsAll queries a whole batch, grouping keys by shard so each
@@ -417,7 +415,7 @@ func (f *WindowMultiplicity) Count(e []byte) int {
 // and the error reports the failing key's batch index. Safe for
 // concurrent use.
 func (f *WindowMultiplicity) AddAll(keys [][]byte) error {
-	return batchWrite(&f.set, keys, (*window.Multiplicity).InsertDigest)
+	return batchWrite(&f.set, keys, eachInsert((*window.Multiplicity).InsertDigest))
 }
 
 // CountAll queries a whole batch, grouping keys by shard so each

@@ -55,6 +55,13 @@ func (w *Membership) AddDigest(d hashing.Digest) {
 	w.rot.Head().AddDigest(d)
 }
 
+// AddGroup inserts the element of every batch index j in idxs, whose
+// digest is ds[j], into the head generation through its group kernel
+// (core.Membership.AddGroup); sc is the caller's scratch.
+func (w *Membership) AddGroup(idxs []int32, ds []hashing.Digest, sc *core.ProbeScratch) {
+	w.rot.Head().AddGroup(idxs, ds, sc)
+}
+
 // Contains reports whether e may have been added within the window:
 // one digest pass, then the cached digest probes each generation
 // until one answers true. No false negatives for in-window elements.
