@@ -6,17 +6,11 @@
 // Usage:
 //
 //	shbench [-fig all|3|4|7|8|9|10|11|table2|general|scm|update|
-//	              updates|costmodel|multiset|skew|zoo]
+//	              updates|costmodel|multiset|skew|zoo|window]
 //	        [-out dir] [-svg] [-quick] [-seed N] [-trials N] [-probes N]
 //	        [-assoc-size N] [-mult-size N]
 //	shbench -perf [-perf-out BENCH_PR3.json] [-perf-baseline old.json]
 //	        [-perf-note text]
-//	shbench -serve [-serve-out BENCH_PR5.json] [-serve-min-speedup X]
-//	        [-serve-max-metrics-overhead X]
-//	shbench -serve-cluster [-serve-cluster-out BENCH_PR6.json]
-//	        [-serve-cluster-min-speedup X]
-//	shbench -frozen [-frozen-out BENCH_PR7.json] [-frozen-min-ratio X]
-//	        [-frozen-max-open-us X] [-frozen-min-open-speedup X]
 //
 // Examples:
 //
@@ -43,71 +37,24 @@ import (
 
 func main() {
 	var (
-		figFlag      = flag.String("fig", "all", "figure to run: all, or a comma list of experiment ids (see usage)")
-		outDir       = flag.String("out", "", "directory for .txt/.csv outputs (created if missing)")
-		quick        = flag.Bool("quick", false, "use the small test-scale configuration")
-		seed         = flag.Int64("seed", 0, "override workload seed (0 = config default)")
-		trials       = flag.Int("trials", 0, "override trial count (0 = config default)")
-		probes       = flag.Int("probes", 0, "override negative probes per FPR point (0 = default)")
-		assocSize    = flag.Int("assoc-size", 0, "override |S1|=|S2| for Figure 10 (0 = default)")
-		multSize     = flag.Int("mult-size", 0, "override distinct elements for Figure 11 (0 = default)")
-		svg          = flag.Bool("svg", false, "with -out: also write one .svg chart per figure")
-		perf         = flag.Bool("perf", false, "run the hot-path perf suite instead of the figures and write machine-readable JSON")
-		perfOut      = flag.String("perf-out", "BENCH_PR3.json", "with -perf: output file")
-		perfBase     = flag.String("perf-baseline", "", "with -perf: previous BENCH_*.json to embed as the baseline section")
-		perfNote     = flag.String("perf-note", "", "with -perf: free-form note recorded in the report")
-		serve        = flag.Bool("serve", false, "run the serving-layer ShBP-vs-JSON benchmark (interleaved min-of-N) and write machine-readable JSON")
-		serveOut     = flag.String("serve-out", "BENCH_PR5.json", "with -serve: output file")
-		serveNote    = flag.String("serve-note", "", "with -serve: free-form note recorded in the report")
-		serveGate    = flag.Float64("serve-min-speedup", 0, "with -serve: exit nonzero unless ShBP ContainsAll@256 ≥ this × the JSON keys/sec (0 = no gate)")
-		serveMetrics = flag.Float64("serve-max-metrics-overhead", 0, "with -serve: exit nonzero if metrics instrumentation costs more than this fraction of ShBP ContainsAll@256 keys/sec vs a NoMetrics daemon (0 = no gate)")
-		cluster      = flag.Bool("serve-cluster", false, "run the 3-node cluster fan-out benchmark (interleaved min-of-N) and write machine-readable JSON")
-		clusterOut   = flag.String("serve-cluster-out", "BENCH_PR6.json", "with -serve-cluster: output file")
-		clusterNote  = flag.String("serve-cluster-note", "", "with -serve-cluster: free-form note recorded in the report")
-		clusterGate  = flag.Float64("serve-cluster-min-speedup", 0, "with -serve-cluster: exit nonzero unless cluster ContainsAll@4096 ≥ this × the single-node keys/sec (0 = no gate)")
-		ingestB      = flag.Bool("ingest", false, "run the streaming-ingest benchmark (direct ShBU add-batches vs envelope flush over loopback UDP, interleaved min-of-N) and write machine-readable JSON")
-		ingestOut    = flag.String("ingest-out", "BENCH_PR10.json", "with -ingest: output file")
-		ingestNote   = flag.String("ingest-note", "", "with -ingest: free-form note recorded in the report")
-		ingestGate   = flag.Float64("ingest-min-wire-ratio", 0, "with -ingest: exit nonzero unless envelope flush saves ≥ this × wire bytes/key vs direct batches at the largest flush interval (0 = no gate)")
-		frozen       = flag.Bool("frozen", false, "run the frozen-filter benchmark (live vs ShBZ probe throughput, cold open, stack amortization) and write machine-readable JSON")
-		frozenOut    = flag.String("frozen-out", "BENCH_PR7.json", "with -frozen: output file")
-		frozenNote   = flag.String("frozen-note", "", "with -frozen: free-form note recorded in the report")
-		frozenRatio  = flag.Float64("frozen-min-ratio", 0, "with -frozen: exit nonzero unless frozen ContainsAll ≥ this fraction of live keys/sec (0 = no gate)")
-		frozenOpen   = flag.Float64("frozen-max-open-us", 0, "with -frozen: exit nonzero if the 10k-filter stack open amortizes above this many µs/filter (0 = no gate)")
-		frozenSpeed  = flag.Float64("frozen-min-open-speedup", 0, "with -frozen: exit nonzero unless OpenFrozen beats the envelope decode by this factor (0 = no gate)")
+		figFlag   = flag.String("fig", "all", "figure to run: all, or a comma list of experiment ids (see usage)")
+		outDir    = flag.String("out", "", "directory for .txt/.csv outputs (created if missing)")
+		quick     = flag.Bool("quick", false, "use the small test-scale configuration")
+		seed      = flag.Int64("seed", 0, "override workload seed (0 = config default)")
+		trials    = flag.Int("trials", 0, "override trial count (0 = config default)")
+		probes    = flag.Int("probes", 0, "override negative probes per FPR point (0 = default)")
+		assocSize = flag.Int("assoc-size", 0, "override |S1|=|S2| for Figure 10 (0 = default)")
+		multSize  = flag.Int("mult-size", 0, "override distinct elements for Figure 11 (0 = default)")
+		svg       = flag.Bool("svg", false, "with -out: also write one .svg chart per figure")
+		perf      = flag.Bool("perf", false, "run the hot-path perf suite instead of the figures and write machine-readable JSON")
+		perfOut   = flag.String("perf-out", "BENCH_PR3.json", "with -perf: output file")
+		perfBase  = flag.String("perf-baseline", "", "with -perf: previous BENCH_*.json to embed as the baseline section")
+		perfNote  = flag.String("perf-note", "", "with -perf: free-form note recorded in the report")
 	)
 	flag.Parse()
 
 	if *perf {
 		if err := runPerf(*perfOut, *perfBase, *perfNote); err != nil {
-			fmt.Fprintln(os.Stderr, "shbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *serve {
-		if err := runServe(*serveOut, *serveNote, *serveGate, *serveMetrics); err != nil {
-			fmt.Fprintln(os.Stderr, "shbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *cluster {
-		if err := runClusterBench(*clusterOut, *clusterNote, *clusterGate); err != nil {
-			fmt.Fprintln(os.Stderr, "shbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *frozen {
-		if err := runFrozen(*frozenOut, *frozenNote, *frozenRatio, *frozenOpen, *frozenSpeed); err != nil {
-			fmt.Fprintln(os.Stderr, "shbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *ingestB {
-		if err := runIngest(*ingestOut, *ingestNote, *ingestGate); err != nil {
 			fmt.Fprintln(os.Stderr, "shbench:", err)
 			os.Exit(1)
 		}

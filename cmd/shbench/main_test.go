@@ -65,7 +65,7 @@ func TestRunnersCoverEveryExperiment(t *testing.T) {
 		"3": true, "4": true, "7": true, "8": true, "9": true,
 		"table2": true, "10": true, "11": true,
 		"general": true, "scm": true, "update": true, "updates": true, "zoo": true,
-		"costmodel": true, "multiset": true, "skew": true,
+		"costmodel": true, "multiset": true, "skew": true, "window": true,
 	}
 	for _, r := range runners {
 		delete(want, r.id)

@@ -28,8 +28,7 @@
 // lists one with -in.
 // With -m 0 the filter is sized optimally from the trace (m = nk/ln2
 // for membership/association, 1.5× that for multiplicity, following
-// the paper's experimental setups). Legacy kind aliases member, assoc
-// and mult are accepted.
+// the paper's experimental setups).
 package main
 
 import (
@@ -82,7 +81,7 @@ func run(args []string) error {
 // builder that assembles the Spec after parsing.
 func specFlags(fs *flag.FlagSet) func() (shbf.Spec, error) {
 	var (
-		kind   = fs.String("kind", "membership", "filter kind (shbf.Kind name; legacy member/assoc/mult accepted)")
+		kind   = fs.String("kind", "membership", "filter kind (shbf.Kind name)")
 		m      = fs.Int("m", 0, "filter bits (0 = optimal for the trace, where a trace is given)")
 		k      = fs.Int("k", 8, "bit positions per element")
 		c      = fs.Int("c", 0, "maximum multiplicity (multiplicity kinds; default 57)")
@@ -95,7 +94,7 @@ func specFlags(fs *flag.FlagSet) func() (shbf.Spec, error) {
 		unsafe = fs.Bool("unsafe", false, "Section 5.3.1 update mode (counting-multiplicity kinds)")
 	)
 	return func() (shbf.Spec, error) {
-		kd, err := parseKindArg(*kind)
+		kd, err := shbf.ParseKind(*kind)
 		if err != nil {
 			return shbf.Spec{}, err
 		}
@@ -106,20 +105,6 @@ func specFlags(fs *flag.FlagSet) func() (shbf.Spec, error) {
 		}
 		return spec, nil
 	}
-}
-
-// parseKindArg accepts canonical Kind names plus the tool's legacy
-// short aliases.
-func parseKindArg(name string) (shbf.Kind, error) {
-	switch name {
-	case "member":
-		return shbf.KindMembership, nil
-	case "assoc":
-		return shbf.KindAssociation, nil
-	case "mult":
-		return shbf.KindMultiplicity, nil
-	}
-	return shbf.ParseKind(name)
 }
 
 func loadTrace(path string) ([]trace.Flow, error) {
@@ -322,7 +307,7 @@ func runPlan(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	kd, err := parseKindArg(*kind)
+	kd, err := shbf.ParseKind(*kind)
 	if err != nil {
 		return err
 	}

@@ -31,8 +31,8 @@ func TestEvalMembership(t *testing.T) {
 	if err := run([]string{"eval", "-kind", "membership", "-trace", path, "-probes", "50000"}); err != nil {
 		t.Fatal(err)
 	}
-	// Explicit m, legacy alias, and bare-flag (implicit eval) forms.
-	if err := run([]string{"-kind", "member", "-trace", path, "-m", "80000", "-probes", "20000"}); err != nil {
+	// Explicit m and bare-flag (implicit eval) forms.
+	if err := run([]string{"-kind", "membership", "-trace", path, "-m", "80000", "-probes", "20000"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -45,7 +45,7 @@ func TestEvalMultiplicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Trace counts above c must be clamped, not rejected.
-	if err := run([]string{"eval", "-kind", "mult", "-trace", path, "-k", "6", "-c", "10"}); err != nil {
+	if err := run([]string{"eval", "-kind", "multiplicity", "-trace", path, "-k", "6", "-c", "10"}); err != nil {
 		t.Fatalf("clamping failed: %v", err)
 	}
 }
@@ -69,6 +69,7 @@ func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{"eval", "-kind", "membership"},                  // missing -trace
 		{"eval", "-kind", "bogus", "-trace", path},       // unknown kind
+		{"eval", "-kind", "member", "-trace", path},      // short alias, not a Kind name
 		{"eval", "-kind", "association", "-trace", path}, // missing -trace2
 		{"eval", "-kind", "tshift", "-trace", path},      // kind outside eval
 		{"eval", "-kind", "membership", "-trace", filepath.Join(dir, "missing.bin")},

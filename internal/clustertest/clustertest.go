@@ -3,9 +3,9 @@
 // listener on loopback and its own temp snapshot path, wired together
 // by a uniform cluster map (internal/cluster) — one call up, one call
 // down. The multi-node tests of this repo (fault injection,
-// anti-entropy, remote≡local equivalence) and the shbench cluster
-// fan-out case all run on it, and future cluster PRs (rebalancing,
-// map push) get their N-node fixture for free.
+// anti-entropy, remote≡local equivalence, the cluster capacity gate)
+// all run on it, and future cluster work (rebalancing, map push) gets
+// its N-node fixture for free.
 //
 // Nodes are real servers behind real TCP listeners — the client's
 // routing, fan-out, reassembly and error paths are exercised over the
@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -30,8 +29,7 @@ import (
 )
 
 // Options configures a test cluster. The zero value means 3 nodes,
-// replication 1, a small default geometry, and a fresh temp snapshot
-// dir.
+// replication 1 and a small default geometry.
 type Options struct {
 	// Nodes is the node count (default 3).
 	Nodes int
@@ -45,9 +43,6 @@ type Options struct {
 	// seed — that is what makes replicas union-mergeable). SnapshotPath
 	// is overridden per node.
 	Config server.Config
-	// Dir is the parent for per-node snapshot paths ("" = a fresh temp
-	// dir, removed by Stop).
-	Dir string
 }
 
 // DefaultConfig is the per-node geometry tests get from the zero
@@ -171,26 +166,12 @@ type Cluster struct {
 	Map *cluster.Map
 	// Nodes holds the running nodes, index i = map node "n<i+1>".
 	Nodes []*Node
-
-	dir    string
-	ownDir bool
 }
 
-// Start boots a cluster for a test and registers teardown with
-// t.Cleanup. See [StartNodes] for the non-testing form.
+// Start boots a cluster for a test, with the per-node snapshot paths
+// under t.TempDir(), and registers Stop with t.Cleanup.
 func Start(t testing.TB, opts Options) *Cluster {
 	t.Helper()
-	c, err := StartNodes(opts)
-	if err != nil {
-		t.Fatalf("clustertest: %v", err)
-	}
-	t.Cleanup(c.Stop)
-	return c
-}
-
-// StartNodes boots a cluster and returns it, for callers without a
-// testing.TB (shbench's cluster fan-out case). Call Stop when done.
-func StartNodes(opts Options) (*Cluster, error) {
 	if opts.Nodes == 0 {
 		opts.Nodes = 3
 	}
@@ -200,19 +181,13 @@ func StartNodes(opts Options) (*Cluster, error) {
 	if opts.Config == (server.Config{}) {
 		opts.Config = DefaultConfig()
 	}
-	c := &Cluster{dir: opts.Dir}
-	if c.dir == "" {
-		dir, err := os.MkdirTemp("", "clustertest-*")
-		if err != nil {
-			return nil, err
-		}
-		c.dir, c.ownDir = dir, true
-	}
+	dir := t.TempDir()
+	c := &Cluster{}
+	t.Cleanup(c.Stop) // runs before dir's removal: cleanups are LIFO
 	for i := 0; i < opts.Nodes; i++ {
-		n, err := startNode(fmt.Sprintf("n%d", i+1), opts.Config, c.dir)
+		n, err := startNode(fmt.Sprintf("n%d", i+1), opts.Config, dir)
 		if err != nil {
-			c.Stop()
-			return nil, err
+			t.Fatalf("clustertest: %v", err)
 		}
 		c.Nodes = append(c.Nodes, n)
 	}
@@ -222,18 +197,16 @@ func StartNodes(opts Options) (*Cluster, error) {
 	}
 	m, err := cluster.Uniform(1, entries, opts.Replication)
 	if err != nil {
-		c.Stop()
-		return nil, err
+		t.Fatalf("clustertest: %v", err)
 	}
 	c.Map = m
 	for _, n := range c.Nodes {
 		if err := n.Srv.SetClusterMap(m, n.ID); err != nil {
-			c.Stop()
-			return nil, err
+			t.Fatalf("clustertest: %v", err)
 		}
 		n.clusterMap = m
 	}
-	return c, nil
+	return c
 }
 
 // startNode builds one server and brings up its two listeners.
@@ -310,14 +283,10 @@ func (c *Cluster) SeedAddr() string {
 	return ""
 }
 
-// Stop kills every node and removes the temp dir (when Stop created
-// it). Idempotent; registered via t.Cleanup by Start.
+// Stop kills every node. Idempotent; registered via t.Cleanup by
+// Start.
 func (c *Cluster) Stop() {
 	for _, n := range c.Nodes {
 		n.Kill()
-	}
-	if c.ownDir && c.dir != "" {
-		os.RemoveAll(c.dir)
-		c.dir = ""
 	}
 }

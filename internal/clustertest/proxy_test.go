@@ -133,12 +133,7 @@ func TestProxyFaults(t *testing.T) {
 // serves again; in-memory state is gone (abrupt kill, no snapshot),
 // which is exactly what the chaos suite's anti-entropy merges repair.
 func TestNodeRestart(t *testing.T) {
-	c, err := StartNodes(Options{Nodes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	n := c.Nodes[0]
+	n := Start(t, Options{Nodes: 1}).Nodes[0]
 	httpAddr, shbpAddr := n.HTTPAddr, n.ShBPAddr
 
 	n.Kill()

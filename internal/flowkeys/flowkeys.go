@@ -1,8 +1,8 @@
 // Package flowkeys generates the deterministic 13-byte 5-tuple
 // flow-ID workload shared by the perf suite's two faces —
 // `cmd/shbench -perf` (the BENCH_*.json emitter) and the root
-// package's Perf* benchmarks — so the two always measure identical
-// keys and their numbers stay comparable.
+// package's Perf* benchmarks — and by the TestGate* timing gates, so
+// they all measure identical keys and their numbers stay comparable.
 package flowkeys
 
 import "shbf/internal/hashing"

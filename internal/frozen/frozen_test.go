@@ -445,8 +445,8 @@ func TestAppendFrozenRejectsGarbage(t *testing.T) {
 }
 
 // BenchmarkFrozenContainsAll drives the frozen batch probe (the CI
-// "-bench Frozen" smoke); the full live-vs-frozen comparison lives in
-// shbench -frozen.
+// "-bench Frozen" smoke); the gated live-vs-frozen comparison is the
+// root package's TestGateFrozenVsLive (-tags perfgate).
 func BenchmarkFrozenContainsAll(b *testing.B) {
 	_, keys := flowkeys.Keys(4096)
 	live, err := core.NewMembership(1<<18, 8, core.WithSeed(3))

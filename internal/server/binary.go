@@ -23,8 +23,8 @@ import (
 // per-request cost is one buffer read and zero per-key allocations,
 // versus the JSON path's string decode + base64 per key. This is the
 // transport that lets one daemon approach the library's native
-// throughput on small batches (ROADMAP's binary-protocol item;
-// measured in BENCH_PR5.json).
+// throughput on small batches (gated at ≥ 3× the JSON path's keys/s
+// at 256-key batches by client's TestGateShBPvsJSON, -tags perfgate).
 
 // ServeShBP accepts ShBP connections on ln until ctx is cancelled or
 // ln fails, serving every namespace. It blocks; run it in its own

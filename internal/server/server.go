@@ -134,8 +134,8 @@ type Config struct {
 	ShBPIdleTimeout time.Duration
 	// NoMetrics disables the metrics registry and all request
 	// instrumentation (no GET /metrics, OpMetrics answers not-found).
-	// It exists as the A/B baseline for the instrumentation-overhead
-	// benchmark (cmd/shbench -serve); production daemons leave it off.
+	// It is the A/B baseline of client's TestGateMetricsOverhead and of
+	// e2ebench's metrics layer; production daemons leave it off.
 	NoMetrics bool
 }
 
