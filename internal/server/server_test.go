@@ -363,7 +363,8 @@ func TestSnapshotV1Compat(t *testing.T) {
 // TestSnapshotRejectsDuplicateKinds: a namespace's snapshot section
 // must hold exactly one filter of each kind; a duplicate would leave
 // another slot silently empty. Exercised in both the pre-namespace v2
-// container and a v3 namespace section.
+// container and a v3 namespace section, and for a filter no slot takes
+// and for two membership filters of different forms.
 func TestSnapshotRejectsDuplicateKinds(t *testing.T) {
 	cfg := testConfig()
 	srv, err := New(cfg)
@@ -392,6 +393,44 @@ func TestSnapshotRejectsDuplicateKinds(t *testing.T) {
 		}
 		if err := srv.LoadSnapshot(path); err == nil {
 			t.Fatalf("%s snapshot with duplicate kinds accepted", name)
+		}
+	}
+
+	// The slots take the filters by their serving surface, so neither an
+	// unsharded filter nor a second membership filter in its other
+	// (windowed) form may slip in.
+	plain, err := shbf.New(shbf.Spec{Kind: shbf.KindMembership, M: 1 << 12, K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	windowed, err := shbf.NewWindow(def.mem.Spec(), shbf.WindowOpts{Generations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		filters []shbf.Filter
+		want    string
+	}{
+		{"unsharded membership", []shbf.Filter{plain, def.assoc, def.mult}, "holds unexpected membership filter"},
+		{"classic and windowed membership", []shbf.Filter{def.mem, windowed, def.assoc}, "holds two membership filters"},
+	} {
+		snap := append([]byte(daemonSnapMagic), daemonSnapVersion)
+		snap = binary.AppendUvarint(snap, 1)
+		snap = binary.AppendUvarint(snap, uint64(len(DefaultNamespace)))
+		snap = append(snap, DefaultNamespace...)
+		for _, f := range c.filters {
+			if snap, err = shbf.AppendDump(snap, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		path := filepath.Join(t.TempDir(), "slots.shbf")
+		if err := os.WriteFile(path, snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := srv.LoadSnapshot(path)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: LoadSnapshot error %v, want one containing %q", c.name, err, c.want)
 		}
 	}
 }

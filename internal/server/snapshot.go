@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"shbf"
-	"shbf/internal/sharded"
 )
 
 // The daemon snapshot is a thin container over the root package's
@@ -19,7 +18,8 @@ import (
 // followed by the tenant's three filters as concatenated shbf.Dump
 // envelopes. Each envelope carries its own kind tag and length, so the
 // restore loop is fully generic — shbf.Decode reconstructs each filter
-// and a type switch slots it into place, in any order. Geometry and
+// and a type switch on the slot interfaces slots it into place, in any
+// order. Geometry and
 // seeds travel inside the envelopes, so a restored daemon answers
 // identically even if its flags changed — the snapshot wins.
 //
@@ -181,10 +181,10 @@ func restoreTrio(name string, buf []byte) (*namespace, error) {
 }
 
 // restoreTrioPrefix decodes three envelopes from the front of buf,
-// slotting each decoded filter by its concrete type — windowed or
-// classic; the snapshot decides, not the flags. Exactly one filter per
-// slot must arrive — a duplicate would silently leave another slot
-// empty.
+// slotting each decoded filter by the slot interface it satisfies —
+// windowed or classic; the snapshot decides, not the flags. Exactly
+// one filter per slot must arrive — a duplicate would silently leave
+// another slot empty.
 func restoreTrioPrefix(name string, buf []byte) (*namespace, []byte, error) {
 	ns := &namespace{name: name}
 	for i := 0; i < 3; i++ {
@@ -197,32 +197,17 @@ func restoreTrioPrefix(name string, buf []byte) (*namespace, []byte, error) {
 			return nil, nil, fmt.Errorf("server: namespace %q envelope %d: %w", name, i, err)
 		}
 		switch f := f.(type) {
-		case *sharded.Filter:
+		case membershipFilter:
 			if ns.mem != nil {
 				return nil, nil, fmt.Errorf("server: namespace %q holds two membership filters", name)
 			}
 			ns.mem = f
-		case *sharded.Window:
-			if ns.mem != nil {
-				return nil, nil, fmt.Errorf("server: namespace %q holds two membership filters", name)
-			}
-			ns.mem = f
-		case *sharded.Association:
+		case associationFilter:
 			if ns.assoc != nil {
 				return nil, nil, fmt.Errorf("server: namespace %q holds two association filters", name)
 			}
 			ns.assoc = f
-		case *sharded.WindowAssociation:
-			if ns.assoc != nil {
-				return nil, nil, fmt.Errorf("server: namespace %q holds two association filters", name)
-			}
-			ns.assoc = f
-		case *sharded.Multiplicity:
-			if ns.mult != nil {
-				return nil, nil, fmt.Errorf("server: namespace %q holds two multiplicity filters", name)
-			}
-			ns.mult = f
-		case *sharded.WindowMultiplicity:
+		case multiplicityFilter:
 			if ns.mult != nil {
 				return nil, nil, fmt.Errorf("server: namespace %q holds two multiplicity filters", name)
 			}

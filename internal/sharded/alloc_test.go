@@ -104,3 +104,71 @@ func TestMultiplicityHotPathsAllocFree(t *testing.T) {
 		}
 	})
 }
+
+// The windowed compositions share the classic kinds' routing and batch
+// paths over their generation rings, so the same guards hold for them.
+
+func TestWindowHotPathsAllocFree(t *testing.T) {
+	w, err := NewWindow(core.Spec{Kind: core.KindWindowShardedMembership, M: 1 << 20, K: 8,
+		Shards: 8, Generations: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := allocKeys(512)
+	if err := w.AddAll(keys); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]bool, len(keys))
+	i := 0
+	requireZeroAllocs(t, "Window.Add", 100, func() { w.Add(keys[i%len(keys)]); i++ })
+	requireZeroAllocs(t, "Window.Contains", 100, func() { w.Contains(keys[i%len(keys)]); i++ })
+	requireZeroAllocs(t, "Window.AddAll", 20, func() {
+		if err := w.AddAll(keys); err != nil {
+			t.Fatal(err)
+		}
+	})
+	requireZeroAllocs(t, "Window.ContainsAll", 20, func() { dst = w.ContainsAll(dst, keys) })
+}
+
+func TestWindowAssociationHotPathsAllocFree(t *testing.T) {
+	a, err := NewWindowAssociation(core.Spec{Kind: core.KindWindowShardedAssociation, M: 1 << 20, K: 8,
+		Shards: 8, Generations: 3, CounterWidth: 8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := allocKeys(512)
+	for _, e := range keys[:256] {
+		if err := a.InsertS1(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]core.Region, len(keys))
+	i := 0
+	requireZeroAllocs(t, "WindowAssociation.Query", 100, func() { a.Query(keys[i%len(keys)]); i++ })
+	requireZeroAllocs(t, "WindowAssociation.QueryAll", 20, func() { dst = a.QueryAll(dst, keys) })
+}
+
+func TestWindowMultiplicityHotPathsAllocFree(t *testing.T) {
+	f, err := NewWindowMultiplicity(core.Spec{Kind: core.KindWindowShardedMultiplicity, M: 1 << 20, K: 8,
+		C: 57, Shards: 8, Generations: 3, CounterWidth: 8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := allocKeys(512)
+	if err := f.AddAll(keys); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]int, len(keys))
+	i := 0
+	requireZeroAllocs(t, "WindowMultiplicity.Count", 100, func() { f.Count(keys[i%len(keys)]); i++ })
+	requireZeroAllocs(t, "WindowMultiplicity.CountAll", 20, func() { dst = f.CountAll(dst, keys) })
+}

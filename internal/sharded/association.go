@@ -5,6 +5,28 @@ import (
 	"shbf/internal/hashing"
 )
 
+// assocShard is an association shard: CShBF_A or a ring of them.
+type assocShard[T any] interface {
+	shard[T]
+	InsertS1Digest(e []byte, d hashing.Digest) error
+	InsertS2Digest(e []byte, d hashing.Digest) error
+	DeleteS1Digest(e []byte, d hashing.Digest) error
+	DeleteS2Digest(e []byte, d hashing.Digest) error
+	QueryDigest(d hashing.Digest) core.Region
+	QueryGroup(dst []core.Region, idxs []int32, ds []hashing.Digest, sc *core.ProbeScratch)
+	M() int
+	K() int
+	MaxOffset() int
+	N1() int
+	N2() int
+}
+
+// association is the sharded CShBF_A body of Association and
+// WindowAssociation.
+type association[T any, F assocShard[T]] struct {
+	composition[T, F]
+}
+
 // Association is a concurrency-safe sharded CShBF_A: one logical
 // two-set association filter whose bit budget is split across routed
 // shards, each an independent updatable core.CountingAssociation.
@@ -12,7 +34,7 @@ import (
 // are unchanged — a query consults exactly the shard that encoded the
 // element.
 type Association struct {
-	set set[*core.CountingAssociation]
+	association[core.CountingAssociation, *core.CountingAssociation]
 }
 
 // AssociationShardStat reports one association shard's occupancy.
@@ -23,9 +45,11 @@ type AssociationShardStat struct {
 	K int
 	// MaxOffset is the shard filter's w̄.
 	MaxOffset int
-	// N1, N2 are the distinct set sizes routed to this shard.
+	// N1, N2 are the distinct set sizes routed to this shard (summed
+	// over the ring's generations for a window).
 	N1, N2 int
-	// FillRatio is the fraction of set bits.
+	// FillRatio is the fraction of set bits (the generations' mean for
+	// a window).
 	FillRatio float64
 }
 
@@ -34,71 +58,49 @@ type AssociationShardStat struct {
 // Options are forwarded to each shard's constructor; shards receive
 // distinct derived seeds.
 func NewAssociation(totalBits, k, shardCount int, opts ...core.Option) (*Association, error) {
-	if err := core.CheckOptions(core.KindShardedAssociation, opts...); err != nil {
-		return nil, err
-	}
-	pow, perShard, err := roundPow2(totalBits, shardCount)
-	if err != nil {
-		return nil, err
-	}
-	base := core.ResolveSeed(opts...)
-	s, err := newSet(pow, func(i int) (*core.CountingAssociation, error) {
-		return core.NewCountingAssociation(perShard, k, append(opts, core.WithSeed(shardSeed(base, i)))...)
+	s, err := newShards(totalBits, shardCount, opts, func(bits int, opts ...core.Option) (*core.CountingAssociation, error) {
+		return core.NewCountingAssociation(bits, k, opts...)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Association{set: s}, nil
+	a := new(Association)
+	a.set = s
+	return a, nil
 }
 
-// Shards returns the number of shards.
-func (a *Association) Shards() int { return a.set.size() }
+// Kind returns core.KindShardedAssociation.
+func (a *Association) Kind() core.Kind { return core.KindShardedAssociation }
 
-// update digests e once, routes on the digest, and runs op on e's
-// shard under its write lock with the same digest.
-func (a *Association) update(e []byte, op func(*core.CountingAssociation, []byte, hashing.Digest) error) error {
-	d := hashing.KeyDigest(e)
-	s := a.set.forDigest(d)
-	s.mu.Lock()
-	err := op(s.f, e, d)
-	s.mu.Unlock()
-	return err
+// InsertS1 adds e to S1 (no-op if already present; into the ring's
+// head generation, for a window). Safe for concurrent use.
+func (c *association[T, F]) InsertS1(e []byte) error {
+	return update(&c.set, e, F.InsertS1Digest)
 }
 
-// InsertS1 adds e to S1 (no-op if already present). Safe for concurrent
-// use.
-func (a *Association) InsertS1(e []byte) error {
-	return a.update(e, (*core.CountingAssociation).InsertS1Digest)
+// InsertS2 adds e to S2 (no-op if already present; into the ring's
+// head generation, for a window). Safe for concurrent use.
+func (c *association[T, F]) InsertS2(e []byte) error {
+	return update(&c.set, e, F.InsertS2Digest)
 }
 
-// InsertS2 adds e to S2 (no-op if already present). Safe for concurrent
-// use.
-func (a *Association) InsertS2(e []byte) error {
-	return a.update(e, (*core.CountingAssociation).InsertS2Digest)
+// DeleteS1 removes e from S1; ErrNotStored if absent. For a window it
+// removes e from the head generation, undoing an in-tick insert
+// (rotated memberships expire instead). Safe for concurrent use.
+func (c *association[T, F]) DeleteS1(e []byte) error {
+	return update(&c.set, e, F.DeleteS1Digest)
 }
 
-// DeleteS1 removes e from S1; ErrNotStored if absent. Safe for
-// concurrent use.
-func (a *Association) DeleteS1(e []byte) error {
-	return a.update(e, (*core.CountingAssociation).DeleteS1Digest)
+// DeleteS2 removes e from S2; see DeleteS1. Safe for concurrent use.
+func (c *association[T, F]) DeleteS2(e []byte) error {
+	return update(&c.set, e, F.DeleteS2Digest)
 }
 
-// DeleteS2 removes e from S2; ErrNotStored if absent. Safe for
-// concurrent use.
-func (a *Association) DeleteS2(e []byte) error {
-	return a.update(e, (*core.CountingAssociation).DeleteS2Digest)
-}
-
-// Query returns e's candidate-region mask with a single hash pass
-// (digest → route → probe). Safe for concurrent use; readers do not
-// block each other.
-func (a *Association) Query(e []byte) core.Region {
-	d := hashing.KeyDigest(e)
-	s := a.set.forDigest(d)
-	s.mu.RLock()
-	r := s.f.QueryDigest(d)
-	s.mu.RUnlock()
-	return r
+// Query returns e's candidate-region mask (the union of the shard
+// ring's masks, for a window) with a single hash pass: digest → route
+// → probe. Safe for concurrent use; readers do not block each other.
+func (c *association[T, F]) Query(e []byte) core.Region {
+	return read(&c.set, e, F.QueryDigest)
 }
 
 // QueryAll classifies a whole batch, grouping keys by shard so each
@@ -106,93 +108,22 @@ func (a *Association) Query(e []byte) core.Region {
 // each key is digested once for both routing and probing. Region masks
 // are written into dst (resized to len(keys)) at the keys' original
 // positions. Safe for concurrent use.
-func (a *Association) QueryAll(dst []core.Region, keys [][]byte) []core.Region {
-	return batchRead(&a.set, dst, keys, (*core.CountingAssociation).QueryGroup)
+func (c *association[T, F]) QueryAll(dst []core.Region, keys [][]byte) []core.Region {
+	return batchRead(&c.set, dst, keys, F.QueryGroup)
 }
 
-// Kind returns core.KindShardedAssociation.
-func (a *Association) Kind() core.Kind { return core.KindShardedAssociation }
+// N1 returns the total distinct size of S1 across shards (and
+// generations, for a window).
+func (c *association[T, F]) N1() int { return c.set.sumLocked(F.N1) }
 
-// Spec returns the construction geometry (see Filter.Spec for the base
-// seed recovery).
-func (a *Association) Spec() core.Spec {
-	inner := a.set.shards[0].f.Spec()
-	return core.Spec{
-		Kind:         core.KindShardedAssociation,
-		M:            inner.M * a.set.size(),
-		K:            inner.K,
-		MaxOffset:    inner.MaxOffset,
-		CounterWidth: inner.CounterWidth,
-		Shards:       a.set.size(),
-		Seed:         inner.Seed - 1,
-	}
-}
-
-// Stats returns the aggregate occupancy snapshot; N sums the two set
-// sizes.
-func (a *Association) Stats() core.Stats {
-	return core.Stats{
-		Kind:      core.KindShardedAssociation,
-		N:         a.N1() + a.N2(),
-		SizeBytes: a.SizeBytes(),
-		FillRatio: a.FillRatio(),
-		Shards:    a.set.size(),
-	}
-}
-
-// N1 returns the total distinct size of S1 across shards.
-func (a *Association) N1() int {
-	return a.set.sumLocked((*core.CountingAssociation).N1)
-}
-
-// N2 returns the total distinct size of S2 across shards.
-func (a *Association) N2() int {
-	return a.set.sumLocked((*core.CountingAssociation).N2)
-}
-
-// SizeBytes returns the combined footprint of the shard bit and counter
-// arrays.
-func (a *Association) SizeBytes() int {
-	return a.set.sumLocked((*core.CountingAssociation).SizeBytes)
-}
-
-// FillRatio returns the mean query-array fill ratio across shards.
-func (a *Association) FillRatio() float64 {
-	return a.set.meanLocked((*core.CountingAssociation).FillRatio)
-}
+// N2 returns the total distinct size of S2 across shards (and
+// generations, for a window).
+func (c *association[T, F]) N2() int { return c.set.sumLocked(F.N2) }
 
 // ShardStats returns a per-shard occupancy snapshot.
-func (a *Association) ShardStats() []AssociationShardStat {
-	out := make([]AssociationShardStat, a.set.size())
-	for i := range a.set.shards {
-		s := &a.set.shards[i]
-		s.mu.RLock()
-		out[i] = AssociationShardStat{
-			Bits:      s.f.M(),
-			K:         s.f.K(),
-			MaxOffset: s.f.MaxOffset(),
-			N1:        s.f.N1(),
-			N2:        s.f.N2(),
-			FillRatio: s.f.FillRatio(),
-		}
-		s.mu.RUnlock()
-	}
-	return out
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler (see
-// Filter.MarshalBinary for consistency semantics).
-func (a *Association) MarshalBinary() ([]byte, error) {
-	return appendSnapshot(nil, shardKindAssociation, &a.set)
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing a's
-// state with the decoded filter.
-func (a *Association) UnmarshalBinary(data []byte) error {
-	s, err := decodeSnapshot[core.CountingAssociation](data, shardKindAssociation)
-	if err != nil {
-		return err
-	}
-	a.set = s
-	return nil
+func (c *association[T, F]) ShardStats() []AssociationShardStat {
+	return shardStats(&c.set, func(f F) AssociationShardStat {
+		return AssociationShardStat{Bits: f.M(), K: f.K(), MaxOffset: f.MaxOffset(),
+			N1: f.N1(), N2: f.N2(), FillRatio: f.FillRatio()}
+	})
 }

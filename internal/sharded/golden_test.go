@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"shbf/internal/core"
 )
@@ -158,6 +159,69 @@ func TestCountingSnapshotGolden(t *testing.T) {
 		{"core.CountingMultiplicity", cm, goldenCountingMultiplicity},
 		{"sharded.Association", sa, goldenShardedAssociation},
 		{"sharded.Multiplicity", sm, goldenShardedMultiplicity},
+	} {
+		if got := snapshotHash(t, c.f); got != c.want {
+			t.Errorf("%s snapshot sha256 = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// The other four sharded kinds: membership, and the three windowed
+// compositions, whose snapshots nest ShBW ring blobs in the shard-set
+// container. These hashes pin that how the compositions are assembled
+// cannot change the bytes. The windows rotate at least once, so head
+// positions, epochs and a non-zero Tick are all in the pinned image.
+const (
+	goldenShardedMembership         = "77c27f14734d91cdefcbd369698eb05b56b9d2b4a0e763e925d06c7182263845"
+	goldenShardedWindowMembership   = "45285042057f8a5e116ccce17ba4e299271d1f488737c59c11ab19643733d05d"
+	goldenShardedWindowAssociation  = "32c51074b57b6f2d1eb2539fb8b7a49c3cf2e51289905fcca549e840912aea70"
+	goldenShardedWindowMultiplicity = "abbae25c6b81e421ed522388975b3e7be89b9c9fa56586332e8cb3862f9d3b83"
+)
+
+func TestShardedSnapshotGolden(t *testing.T) {
+	keys := goldenKeys(3000)
+
+	f, err := New(1<<16, 8, 4, core.WithSeed(46))
+	must(t, err)
+	must(t, f.AddAll(keys[:2000]))
+	for _, k := range keys[2000:] {
+		f.Add(k)
+	}
+
+	w, err := NewWindow(core.Spec{Kind: core.KindWindowShardedMembership, M: 1 << 16, K: 8,
+		Shards: 4, Generations: 3, Tick: 30 * time.Second, Seed: 47})
+	must(t, err)
+	for _, k := range keys[:1000] {
+		w.Add(k)
+	}
+	must(t, w.Rotate())
+	must(t, w.AddAll(keys[1000:2000]))
+	must(t, w.Rotate())
+	must(t, w.AddAll(keys[2000:2500]))
+
+	wa, err := NewWindowAssociation(core.Spec{Kind: core.KindWindowShardedAssociation, M: 1 << 16, K: 6,
+		Shards: 4, Generations: 3, Tick: time.Minute, Seed: 48})
+	must(t, err)
+	churnAssociation(t, wa)
+	must(t, wa.Rotate())
+	churnAssociation(t, wa)
+
+	wm, err := NewWindowMultiplicity(core.Spec{Kind: core.KindWindowShardedMultiplicity, M: 1 << 17, K: 5,
+		C: 16, Shards: 4, Generations: 2, Tick: time.Minute, Seed: 49})
+	must(t, err)
+	churnMultiplicity(t, wm)
+	must(t, wm.Rotate())
+	must(t, wm.AddAll(keys[:1000]))
+
+	for _, c := range []struct {
+		name string
+		f    interface{ MarshalBinary() ([]byte, error) }
+		want string
+	}{
+		{"sharded.Filter", f, goldenShardedMembership},
+		{"sharded.Window", w, goldenShardedWindowMembership},
+		{"sharded.WindowAssociation", wa, goldenShardedWindowAssociation},
+		{"sharded.WindowMultiplicity", wm, goldenShardedWindowMultiplicity},
 	} {
 		if got := snapshotHash(t, c.f); got != c.want {
 			t.Errorf("%s snapshot sha256 = %s, want %s", c.name, got, c.want)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"shbf/internal/core"
 )
 
 // Set algebra on the sharded membership filter, the serving-layer form
@@ -27,12 +29,47 @@ var ErrIncompatible = errors.New("sharded: incompatible filters")
 // serialization costs nothing that matters.
 var unionMu sync.Mutex
 
+// union merges src into dst shard by shard with merge, under dst's
+// write lock and src's read lock, one shard pair at a time — the body
+// of Filter.Union and Multiplicity.Union. The Specs must match exactly;
+// otherwise ErrIncompatible is returned and dst is unchanged.
+func union[T any, F shard[T]](dst, src *composition[T, F], merge func(dst, src F) error) error {
+	ds, ss := dst.Spec(), src.Spec()
+	if ds != ss {
+		return fmt.Errorf("%w: spec %+v vs %+v", ErrIncompatible, ds, ss)
+	}
+	if dst == src {
+		return nil // self-union is the identity
+	}
+	unionMu.Lock()
+	defer unionMu.Unlock()
+	for i := range dst.set.shards {
+		d, s := &dst.set.shards[i], &src.set.shards[i]
+		d.mu.Lock()
+		s.mu.RLock()
+		err := merge(d.f, s.f)
+		s.mu.RUnlock()
+		d.mu.Unlock()
+		if err != nil {
+			// Unreachable with equal Specs (shard seeds derive from the
+			// base seed), but a corrupt filter must not half-merge
+			// silently.
+			return fmt.Errorf("%w: shard %d: %v", ErrIncompatible, i, err)
+		}
+	}
+	return nil
+}
+
 // Union ORs other into f, making f represent the union of both key
 // sets. The two filters must have identical Specs (total bits, k, w̄,
 // shard count, base seed); otherwise ErrIncompatible is returned and f
 // is unchanged. Safe for concurrent use with both filters' other
 // operations — shards are merged one pair at a time, so queries keep
 // flowing on every shard the merge is not currently touching.
+func (f *Filter) Union(other *Filter) error {
+	return union(&f.composition, &other.composition, (*core.Membership).Union)
+}
+
 // Union merges other into f by the counting-filter union — per shard,
 // a counter-wise saturating add of C, an OR of B and a per-key max
 // over the exact tables (core.CountingMultiplicity.Merge) — making f
@@ -42,56 +79,8 @@ var unionMu sync.Mutex
 // otherwise ErrIncompatible is returned and f is unchanged. This is
 // what lets edge agents pre-aggregate counts and ship them upstream as
 // one envelope (internal/ingest) and replicas anti-entropy their
-// multiplicity filters like their membership ones.
+// multiplicity filters like their membership ones. Safe for concurrent
+// use, like Filter.Union.
 func (f *Multiplicity) Union(other *Multiplicity) error {
-	fs, os := f.Spec(), other.Spec()
-	if fs != os {
-		return fmt.Errorf("%w: spec %+v vs %+v", ErrIncompatible, fs, os)
-	}
-	if f == other {
-		return nil // self-union is the identity
-	}
-	unionMu.Lock()
-	defer unionMu.Unlock()
-	for i := range f.set.shards {
-		dst, src := &f.set.shards[i], &other.set.shards[i]
-		dst.mu.Lock()
-		src.mu.RLock()
-		err := dst.f.Merge(src.f)
-		src.mu.RUnlock()
-		dst.mu.Unlock()
-		if err != nil {
-			// Unreachable with equal Specs, but a corrupt filter must
-			// not half-merge silently.
-			return fmt.Errorf("%w: shard %d: %v", ErrIncompatible, i, err)
-		}
-	}
-	return nil
-}
-
-func (f *Filter) Union(other *Filter) error {
-	fs, os := f.Spec(), other.Spec()
-	if fs != os {
-		return fmt.Errorf("%w: spec %+v vs %+v", ErrIncompatible, fs, os)
-	}
-	if f == other {
-		return nil // self-union is the identity
-	}
-	unionMu.Lock()
-	defer unionMu.Unlock()
-	for i := range f.set.shards {
-		dst, src := &f.set.shards[i], &other.set.shards[i]
-		dst.mu.Lock()
-		src.mu.RLock()
-		err := dst.f.Union(src.f)
-		src.mu.RUnlock()
-		dst.mu.Unlock()
-		if err != nil {
-			// Unreachable with equal Specs (shard seeds derive from the
-			// base seed), but a corrupt filter must not half-merge
-			// silently.
-			return fmt.Errorf("%w: shard %d: %v", ErrIncompatible, i, err)
-		}
-	}
-	return nil
+	return union(&f.composition, &other.composition, (*core.CountingMultiplicity).Merge)
 }

@@ -10,10 +10,11 @@ import (
 	"shbf/internal/hashing"
 )
 
-// This file holds the scaffolding shared by every sharded filter kind:
-// the routed, lock-striped shard set and the snapshot wire format.
+// This file holds the scaffolding shared by every sharded composition:
+// the routed, lock-striped shard set, its batch paths, and the
+// snapshot wire format.
 //
-// A set[F] owns 2^p shards, each a core filter F behind its own
+// A set[F] owns 2^p shards, each a shard filter F behind its own
 // cache-line-padded RWMutex. Routing rides the one-pass digest
 // pipeline: every operation computes the key's hashing.KeyDigest once,
 // routes on the digest's high lane (Digest.Shard), and hands the same
@@ -23,11 +24,9 @@ import (
 // raw lane bits while every probe position goes through a full
 // per-function avalanche mix of both lanes. The digest seed is the
 // tree-wide hashing.DigestSeed constant, so a snapshot taken by one
-// process routes identically when loaded by another. The concrete
-// wrappers — Filter, Association, Multiplicity — embed a set and add
-// the kind-specific operations; anything that holds shard locks lives
-// with them, the set only does routing, geometry, and
-// (de)serialization.
+// process routes identically when loaded by another. The set knows
+// nothing of what its shards answer: the compositions (sharded.go)
+// hand it their shard filters' methods.
 
 // shardSeed derives the i-th shard's filter seed from the caller's
 // base seed (core.ResolveSeed of the forwarded options). Each shard
@@ -146,20 +145,10 @@ func growInts(s []int, n int) []int {
 
 // groupProbe answers one shard group of a batch read: it sets dst[j]
 // for every batch index j in idxs, whose digest is ds[j], and may use
-// sc as scratch. The core kinds' round kernels (ContainsGroup,
-// QueryGroup, CountGroup) have this shape; eachKey adapts a per-key
-// query to it.
+// sc as scratch. The shard filters' group reads (ContainsGroup,
+// QueryGroup, CountGroup) have this shape: the core kinds' round
+// kernels, and the rings' per-key loops.
 type groupProbe[F, R any] func(f F, dst []R, idxs []int32, ds []hashing.Digest, sc *core.ProbeScratch)
-
-// eachKey adapts a per-key digest query to a groupProbe, for the kinds
-// without a round kernel (the windowed rings).
-func eachKey[F, R any](query func(F, hashing.Digest) R) groupProbe[F, R] {
-	return func(f F, dst []R, idxs []int32, ds []hashing.Digest, _ *core.ProbeScratch) {
-		for _, j := range idxs {
-			dst[j] = query(f, ds[j])
-		}
-	}
-}
 
 // batchRead answers every key, visiting each occupied shard once under
 // its read lock and handing probe that shard's whole group. Answers
@@ -267,16 +256,22 @@ func (s *set[F]) group(keys [][]byte) *batchPlan {
 	return p
 }
 
-// sumLocked accumulates get across all shards, each read under its
-// shard's read lock.
-func (s *set[F]) sumLocked(get func(F) int) int {
-	total := 0
+// each calls fn for every shard in index order, each under its shard's
+// read lock.
+func (s *set[F]) each(fn func(i int, f F)) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		total += get(sh.f)
+		fn(i, sh.f)
 		sh.mu.RUnlock()
 	}
+}
+
+// sumLocked accumulates get across all shards (see addCount), each
+// read under its shard's read lock.
+func (s *set[F]) sumLocked(get func(F) int) int {
+	total := 0
+	s.each(func(_ int, f F) { total = addCount(total, get(f)) })
 	return total
 }
 
@@ -284,13 +279,18 @@ func (s *set[F]) sumLocked(get func(F) int) int {
 // shard's read lock.
 func (s *set[F]) meanLocked(get func(F) float64) float64 {
 	sum := 0.0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		sum += get(sh.f)
-		sh.mu.RUnlock()
-	}
+	s.each(func(_ int, f F) { sum += get(f) })
 	return sum / float64(len(s.shards))
+}
+
+// addCount adds a shard's count to a running total. A negative count
+// is the unsafe update mode's no-exact-set sentinel and makes the
+// total −1.
+func addCount(total, n int) int {
+	if total < 0 || n < 0 {
+		return -1
+	}
+	return total + n
 }
 
 // --- snapshot wire format ------------------------------------------------
@@ -355,14 +355,10 @@ func checkShardSpecs[F interface{ Spec() core.Spec }](s *set[F]) error {
 }
 
 // decodeSnapshot parses a snapshot produced by appendSnapshot,
-// rebuilding each shard filter with fresh (the zero-value constructor
-// whose UnmarshalBinary replaces its state) and then cross-checking
-// the shards against each other (checkShardSpecs).
-func decodeSnapshot[F any, PF interface {
-	*F
-	encoding.BinaryUnmarshaler
-	Spec() core.Spec
-}](data []byte, kind byte) (set[PF], error) {
+// decoding each shard into a fresh zero F (whose UnmarshalBinary
+// replaces its state) and then cross-checking the shards against each
+// other (checkShardSpecs).
+func decodeSnapshot[F any, PF shard[F]](data []byte, kind byte) (set[PF], error) {
 	if len(data) < 6 {
 		return set[PF]{}, fmt.Errorf("sharded: truncated snapshot header")
 	}

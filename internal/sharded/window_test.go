@@ -440,3 +440,32 @@ func TestWindowSpecBesideRotate(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// TestWindowMultiplicityCBesideRotate: C reads the ring's head
+// generation, which rotations replace, so like Spec it must read shard
+// 0 under the shard lock. Meaningful under -race.
+func TestWindowMultiplicityCBesideRotate(t *testing.T) {
+	f, err := NewWindowMultiplicity(core.Spec{Kind: core.KindWindowShardedMultiplicity,
+		M: 1 << 14, K: 4, C: 57, Shards: 2, Generations: 3, Seed: 3, CounterWidth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			if err := f.Rotate(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		if got := f.C(); got != 57 {
+			t.Errorf("C() = %d during rotations, want 57", got)
+			break
+		}
+	}
+	wg.Wait()
+}

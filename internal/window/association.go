@@ -95,6 +95,15 @@ func (w *Association) QueryDigest(d hashing.Digest) core.Region {
 	return r
 }
 
+// QueryGroup answers QueryDigest into dst[j] for every batch index j
+// in idxs, whose digest is ds[j]: the group read of one shard's ring
+// in the sharded composition. sc is unused.
+func (w *Association) QueryGroup(dst []core.Region, idxs []int32, ds []hashing.Digest, _ *core.ProbeScratch) {
+	for _, j := range idxs {
+		dst[j] = w.QueryDigest(ds[j])
+	}
+}
+
 // QueryAll classifies a whole batch: keys are digested once into the
 // window's scratch, then each cached digest unions across the ring.
 // Masks land in dst (resized to len(keys)); steady-state batches do

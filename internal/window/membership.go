@@ -82,6 +82,16 @@ func (w *Membership) ContainsDigest(d hashing.Digest) bool {
 	return false
 }
 
+// ContainsGroup answers ContainsDigest into dst[j] for every batch
+// index j in idxs, whose digest is ds[j]: the group read of one
+// shard's ring in the sharded composition. sc is unused; each key
+// probes the ring newest-first.
+func (w *Membership) ContainsGroup(dst []bool, idxs []int32, ds []hashing.Digest, _ *core.ProbeScratch) {
+	for _, j := range idxs {
+		dst[j] = w.ContainsDigest(ds[j])
+	}
+}
+
 // AddAll inserts a whole batch into the head generation through the
 // core filter's pipelined digest-then-encode path. The error is always
 // nil (the signature matches the shared batch interface).

@@ -91,6 +91,15 @@ func (w *Multiplicity) CountDigest(d hashing.Digest) int {
 	return total
 }
 
+// CountGroup answers CountDigest into dst[j] for every batch index j
+// in idxs, whose digest is ds[j]: the group read of one shard's ring
+// in the sharded composition. sc is unused.
+func (w *Multiplicity) CountGroup(dst []int, idxs []int32, ds []hashing.Digest, _ *core.ProbeScratch) {
+	for _, j := range idxs {
+		dst[j] = w.CountDigest(ds[j])
+	}
+}
+
 // AddAll increments every key's count by one in the head generation,
 // stopping at the first failed insert (earlier keys stay applied; the
 // error reports the failing index).
