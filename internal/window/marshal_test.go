@@ -3,6 +3,8 @@ package window
 import (
 	"testing"
 	"time"
+
+	"shbf/internal/core"
 )
 
 // TestMarshalRoundTripMembership: the ShBW container restores ring
@@ -127,6 +129,19 @@ func TestMarshalRoundTripAssociation(t *testing.T) {
 	}
 	if back.Spec() != w.Spec() {
 		t.Fatalf("spec changed: %+v vs %+v", back.Spec(), w.Spec())
+	}
+	// The restored ring still rotates (its recycle rule rebuilds
+	// generations), and after G rotations the key has expired.
+	for i := 0; i < back.Generations(); i++ {
+		if err := back.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := back.Query(key); got != core.RegionNone {
+		t.Fatalf("restored ring answers %s after full expiry, want none", got)
+	}
+	if back.Spec() != w.Spec() {
+		t.Fatalf("spec changed by rotation: %+v vs %+v", back.Spec(), w.Spec())
 	}
 }
 

@@ -114,21 +114,37 @@ func TestMembershipBatchEqualsScalarAcrossRotations(t *testing.T) {
 }
 
 // TestMembershipRecycleClearsInPlace: rotation reuses the retired
-// generation's array rather than reallocating.
+// generation's array rather than reallocating, both in a constructed
+// ring and in one restored by UnmarshalBinary.
 func TestMembershipRecycleClearsInPlace(t *testing.T) {
-	w, err := NewMembership(memSpec(2))
+	built, err := NewMembership(memSpec(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	retired := w.rot.At(1)
-	if err := w.Rotate(); err != nil {
+	built.AddAll(keysOf("r", 50))
+	if err := built.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	if w.rot.Head() != retired {
-		t.Fatal("membership rotation did not recycle the retired generation in place")
+	built.AddAll(keysOf("s", 50))
+	blob, err := built.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if w.rot.Head().N() != 0 {
-		t.Fatal("recycled head is not empty")
+	restored := new(Membership)
+	if err := restored.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []*Membership{built, restored} {
+		retired := w.rot.At(1)
+		if err := w.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+		if w.rot.Head() != retired {
+			t.Fatal("membership rotation did not recycle the retired generation in place")
+		}
+		if w.rot.Head().N() != 0 {
+			t.Fatal("recycled head is not empty")
+		}
 	}
 }
 
