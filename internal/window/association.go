@@ -1,8 +1,6 @@
 package window
 
 import (
-	"time"
-
 	"shbf/internal/core"
 	"shbf/internal/hashing"
 )
@@ -16,8 +14,7 @@ import (
 // candidates, which is exactly the in-window truth. Not safe for
 // concurrent use — see sharded.WindowAssociation.
 type Association struct {
-	rot      *Rotator[*core.CountingAssociation]
-	dscratch []hashing.Digest
+	ring[core.CountingAssociation, *core.CountingAssociation]
 }
 
 // NewAssociation builds the window from its Spec (Kind
@@ -25,22 +22,22 @@ type Association struct {
 // describe each CShBF_A generation, Generations the ring length, Tick
 // the rotation period).
 func NewAssociation(spec core.Spec) (*Association, error) {
-	if err := checkSpec(spec, core.KindWindowAssociation); err != nil {
-		return nil, err
-	}
-	fresh := func() (*core.CountingAssociation, error) {
-		return core.NewCountingAssociation(spec.M, spec.K, spec.Options()...)
-	}
-	// CShBF_A (bits + counters + two backing tables) has no in-place
-	// Reset; a retired generation is rebuilt from spec.
-	recycle := func(*core.CountingAssociation) (*core.CountingAssociation, error) {
-		return fresh()
-	}
-	rot, err := NewRotator(spec.Generations, spec.Tick, fresh, recycle)
+	r, err := newRing(spec, core.KindWindowAssociation, buildAssociation)
 	if err != nil {
 		return nil, err
 	}
-	return &Association{rot: rot}, nil
+	return &Association{r}, nil
+}
+
+// buildAssociation builds one generation of the spec's geometry.
+func buildAssociation(s core.Spec) (*core.CountingAssociation, error) {
+	return core.NewCountingAssociation(s.M, s.K, s.Options()...)
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing w's
+// state with the decoded window.
+func (w *Association) UnmarshalBinary(data []byte) error {
+	return w.decode(data, core.KindWindowAssociation, buildAssociation)
 }
 
 // InsertS1 records e ∈ S1 in the head generation.
@@ -110,99 +107,21 @@ func (w *Association) QueryGroup(dst []core.Region, idxs []int32, ds []hashing.D
 // not allocate.
 func (w *Association) QueryAll(dst []core.Region, keys [][]byte) []core.Region {
 	dst = resizeSlice(dst, len(keys))
-	ds := digestAll(&w.dscratch, keys)
-	for i, d := range ds {
+	for i, d := range w.digests(keys) {
 		dst[i] = w.QueryDigest(d)
 	}
 	return dst
 }
 
-// Rotate retires the oldest generation's memberships and installs a
-// fresh head generation.
-func (w *Association) Rotate() error { return w.rot.Rotate() }
-
-// RotateIfDue rotates once when the spec's Tick has elapsed since the
-// last due rotation, reporting whether it did. See Rotator.RotateIfDue.
-func (w *Association) RotateIfDue(now time.Time) (bool, error) { return w.rot.RotateIfDue(now) }
-
-// Window returns the rotation snapshot: ring length, epoch, tick, and
-// per-generation occupancy newest to oldest (N is n1 + n2).
-func (w *Association) Window() Info {
-	return w.rot.info(func(f *core.CountingAssociation) GenInfo {
-		return GenInfo{N: f.N1() + f.N2(), FillRatio: f.FillRatio()}
-	})
-}
-
-// M returns the per-generation base array size in bits.
-func (w *Association) M() int { return w.rot.Head().M() }
-
-// K returns the bit positions per element.
-func (w *Association) K() int { return w.rot.Head().K() }
-
 // MaxOffset returns the per-generation w̄.
 func (w *Association) MaxOffset() int { return w.rot.Head().MaxOffset() }
 
-// Generations returns the ring length G.
-func (w *Association) Generations() int { return w.rot.Generations() }
-
-// Epoch returns the number of completed rotations.
-func (w *Association) Epoch() uint64 { return w.rot.Epoch() }
-
 // N1 returns the total S1 cardinality across generations (a key
 // spanning rotations counts once per generation holding it).
-func (w *Association) N1() int {
-	n := 0
-	for _, g := range w.rot.gens {
-		n += g.N1()
-	}
-	return n
-}
+func (w *Association) N1() int { return w.sum((*core.CountingAssociation).N1) }
 
 // N2 returns the total S2 cardinality across generations.
-func (w *Association) N2() int {
-	n := 0
-	for _, g := range w.rot.gens {
-		n += g.N2()
-	}
-	return n
-}
-
-// SizeBytes returns the combined footprint of all generations.
-func (w *Association) SizeBytes() int {
-	b := 0
-	for _, g := range w.rot.gens {
-		b += g.SizeBytes()
-	}
-	return b
-}
-
-// FillRatio returns the mean query-array fill ratio across
-// generations.
-func (w *Association) FillRatio() float64 {
-	s := 0.0
-	for _, g := range w.rot.gens {
-		s += g.FillRatio()
-	}
-	return s / float64(len(w.rot.gens))
-}
+func (w *Association) N2() int { return w.sum((*core.CountingAssociation).N2) }
 
 // Kind returns core.KindWindowAssociation.
 func (w *Association) Kind() core.Kind { return core.KindWindowAssociation }
-
-// Spec returns the construction geometry; New(w.Spec()) builds an
-// empty ring identical to w before any insert.
-func (w *Association) Spec() core.Spec {
-	return windowSpec(w.rot.Head().Spec(), core.KindWindowAssociation,
-		w.rot.Generations(), w.rot.Tick())
-}
-
-// Stats returns the aggregate occupancy snapshot (N sums both sets
-// across generations, FillRatio is the generations' mean).
-func (w *Association) Stats() core.Stats {
-	return core.Stats{
-		Kind:      core.KindWindowAssociation,
-		N:         w.N1() + w.N2(),
-		SizeBytes: w.SizeBytes(),
-		FillRatio: w.FillRatio(),
-	}
-}

@@ -1,7 +1,6 @@
 package window
 
 import (
-	"encoding"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -26,10 +25,11 @@ const (
 	windowVersion = 1
 )
 
-// appendRing serializes a rotator under the given window kind.
-func appendRing[F encoding.BinaryMarshaler](buf []byte, kind core.Kind, r *Rotator[F]) ([]byte, error) {
-	buf = append(buf, windowMagic...)
-	buf = append(buf, windowVersion, byte(kind))
+// MarshalBinary implements encoding.BinaryMarshaler: the ShBW ring
+// container over the generations' own serializations.
+func (w *ring[G, F]) MarshalBinary() ([]byte, error) {
+	r := w.rot
+	buf := append([]byte(windowMagic), windowVersion, byte(w.kind))
 	buf = binary.AppendUvarint(buf, uint64(len(r.gens)))
 	buf = binary.AppendUvarint(buf, uint64(r.head))
 	buf = binary.AppendUvarint(buf, r.epoch)
@@ -45,163 +45,74 @@ func appendRing[F encoding.BinaryMarshaler](buf []byte, kind core.Kind, r *Rotat
 	return buf, nil
 }
 
-// ring is the decoded container state shared by the typed
-// UnmarshalBinary implementations.
-type ring[PF any] struct {
-	gens  []PF
-	head  int
-	epoch uint64
-	tick  time.Duration
-}
-
-// decodeRing parses an appendRing container of the expected kind,
-// reconstructing each generation into a fresh zero value of the
-// concrete filter type.
-func decodeRing[F any, PF interface {
-	*F
-	encoding.BinaryUnmarshaler
-}](data []byte, kind core.Kind) (ring[PF], error) {
+// decode parses a MarshalBinary container of the given window kind,
+// reconstructing each generation into a fresh zero value, and replaces
+// w's state (ring, head, epoch, tick) with the decoded window, whose
+// retired generations recycle by the constructor's rule over build.
+// The typed windows' UnmarshalBinary is this with their kind and build.
+func (w *ring[G, F]) decode(data []byte, kind core.Kind, build func(core.Spec) (F, error)) error {
 	if len(data) < len(windowMagic)+2 {
-		return ring[PF]{}, fmt.Errorf("window: truncated container header")
+		return fmt.Errorf("window: truncated container header")
 	}
 	if string(data[:len(windowMagic)]) != windowMagic {
-		return ring[PF]{}, fmt.Errorf("window: bad container magic %q", data[:len(windowMagic)])
+		return fmt.Errorf("window: bad container magic %q", data[:len(windowMagic)])
 	}
 	if v := data[len(windowMagic)]; v != windowVersion {
-		return ring[PF]{}, fmt.Errorf("window: unsupported container version %d", v)
+		return fmt.Errorf("window: unsupported container version %d", v)
 	}
 	if got := core.Kind(data[len(windowMagic)+1]); got != kind {
-		return ring[PF]{}, fmt.Errorf("window: container holds %s, want %s", got, kind)
+		return fmt.Errorf("window: container holds %s, want %s", got, kind)
 	}
 	buf := data[len(windowMagic)+2:]
 	var g, head, epoch, tick uint64
 	for i, dst := range []*uint64{&g, &head, &epoch, &tick} {
 		v, sz := binary.Uvarint(buf)
 		if sz <= 0 {
-			return ring[PF]{}, fmt.Errorf("window: truncated ring parameter %d", i)
+			return fmt.Errorf("window: truncated ring parameter %d", i)
 		}
 		*dst = v
 		buf = buf[sz:]
 	}
 	if g < 2 || g > maxGenerations {
-		return ring[PF]{}, fmt.Errorf("window: implausible generation count %d", g)
+		return fmt.Errorf("window: implausible generation count %d", g)
 	}
 	if head >= g {
-		return ring[PF]{}, fmt.Errorf("window: head index %d outside ring of %d", head, g)
+		return fmt.Errorf("window: head index %d outside ring of %d", head, g)
 	}
 	if tick > math.MaxInt64 {
-		return ring[PF]{}, fmt.Errorf("window: implausible tick %d", tick)
+		return fmt.Errorf("window: implausible tick %d", tick)
 	}
-	r := ring[PF]{head: int(head), epoch: epoch, tick: time.Duration(tick)}
-	r.gens = make([]PF, g)
-	for i := range r.gens {
+	gens := make([]F, g)
+	for i := range gens {
 		n, sz := binary.Uvarint(buf)
 		if sz <= 0 {
-			return ring[PF]{}, fmt.Errorf("window: truncated length of generation %d", i)
+			return fmt.Errorf("window: truncated length of generation %d", i)
 		}
 		buf = buf[sz:]
 		if uint64(len(buf)) < n {
-			return ring[PF]{}, fmt.Errorf("window: generation %d blob truncated", i)
+			return fmt.Errorf("window: generation %d blob truncated", i)
 		}
-		f := PF(new(F))
+		f := F(new(G))
 		if err := f.UnmarshalBinary(buf[:n]); err != nil {
-			return ring[PF]{}, fmt.Errorf("window: decoding generation %d: %w", i, err)
+			return fmt.Errorf("window: decoding generation %d: %w", i, err)
 		}
-		r.gens[i] = f
+		gens[i] = f
 		buf = buf[n:]
 	}
 	if len(buf) != 0 {
-		return ring[PF]{}, fmt.Errorf("window: %d trailing bytes", len(buf))
+		return fmt.Errorf("window: %d trailing bytes", len(buf))
 	}
-	return r, nil
-}
-
-// checkUniformSpecs verifies every decoded generation shares the
-// spec of generation 0 — the ring invariant the query fan-out relies
-// on (identical geometry and seed ⇒ one digest probes all).
-func checkUniformSpecs[F interface{ Spec() core.Spec }](gens []F) error {
+	// Every generation must share generation 0's spec: the ring
+	// invariant the query fan-out relies on (identical geometry and
+	// seed ⇒ one digest probes all).
 	spec0 := gens[0].Spec()
-	for i, g := range gens[1:] {
-		if g.Spec() != spec0 {
+	for i, f := range gens[1:] {
+		if f.Spec() != spec0 {
 			return fmt.Errorf("window: generation %d spec %+v differs from generation 0 %+v",
-				i+1, g.Spec(), spec0)
+				i+1, f.Spec(), spec0)
 		}
 	}
-	return nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler: the ShBW ring
-// container over the generations' own serializations.
-func (w *Membership) MarshalBinary() ([]byte, error) {
-	return appendRing(nil, core.KindWindowMembership, w.rot)
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing w's
-// state (ring, head, epoch, tick) with the decoded window.
-func (w *Membership) UnmarshalBinary(data []byte) error {
-	r, err := decodeRing[core.Membership](data, core.KindWindowMembership)
-	if err != nil {
-		return err
-	}
-	if err := checkUniformSpecs(r.gens); err != nil {
-		return err
-	}
-	*w = Membership{rot: &Rotator[*core.Membership]{
-		gens: r.gens, head: r.head, epoch: r.epoch, clock: TickPolicy{Tick: r.tick},
-		recycle: func(f *core.Membership) (*core.Membership, error) {
-			f.Reset()
-			return f, nil
-		},
-	}}
-	return nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (w *Multiplicity) MarshalBinary() ([]byte, error) {
-	return appendRing(nil, core.KindWindowMultiplicity, w.rot)
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing w's
-// state with the decoded window.
-func (w *Multiplicity) UnmarshalBinary(data []byte) error {
-	r, err := decodeRing[core.CountingMultiplicity](data, core.KindWindowMultiplicity)
-	if err != nil {
-		return err
-	}
-	if err := checkUniformSpecs(r.gens); err != nil {
-		return err
-	}
-	spec := r.gens[0].Spec()
-	*w = Multiplicity{rot: &Rotator[*core.CountingMultiplicity]{
-		gens: r.gens, head: r.head, epoch: r.epoch, clock: TickPolicy{Tick: r.tick},
-		recycle: func(*core.CountingMultiplicity) (*core.CountingMultiplicity, error) {
-			return core.NewCountingMultiplicity(spec.M, spec.K, spec.C, spec.Options()...)
-		},
-	}}
-	return nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (w *Association) MarshalBinary() ([]byte, error) {
-	return appendRing(nil, core.KindWindowAssociation, w.rot)
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing w's
-// state with the decoded window.
-func (w *Association) UnmarshalBinary(data []byte) error {
-	r, err := decodeRing[core.CountingAssociation](data, core.KindWindowAssociation)
-	if err != nil {
-		return err
-	}
-	if err := checkUniformSpecs(r.gens); err != nil {
-		return err
-	}
-	spec := r.gens[0].Spec()
-	*w = Association{rot: &Rotator[*core.CountingAssociation]{
-		gens: r.gens, head: r.head, epoch: r.epoch, clock: TickPolicy{Tick: r.tick},
-		recycle: func(*core.CountingAssociation) (*core.CountingAssociation, error) {
-			return core.NewCountingAssociation(spec.M, spec.K, spec.Options()...)
-		},
-	}}
+	*w = ring[G, F]{kind: kind, rot: &Rotator[F]{gens: gens, head: int(head), epoch: epoch,
+		clock: TickPolicy{Tick: time.Duration(tick)}, recycle: recycler(build)}}
 	return nil
 }

@@ -1,8 +1,6 @@
 package window
 
 import (
-	"time"
-
 	"shbf/internal/core"
 	"shbf/internal/hashing"
 )
@@ -16,8 +14,7 @@ import (
 // Equation-1 rate. Not safe for concurrent use — see
 // sharded.Window for the lock-striped composition.
 type Membership struct {
-	rot      *Rotator[*core.Membership]
-	dscratch []hashing.Digest
+	ring[core.Membership, *core.Membership]
 }
 
 // NewMembership builds the window from its Spec (Kind
@@ -25,22 +22,22 @@ type Membership struct {
 // generation, Generations the ring length, Tick the rotation period).
 // Total memory is Generations × one ShBF_M of M bits.
 func NewMembership(spec core.Spec) (*Membership, error) {
-	if err := checkSpec(spec, core.KindWindowMembership); err != nil {
-		return nil, err
-	}
-	fresh := func() (*core.Membership, error) {
-		return core.NewMembership(spec.M, spec.K, spec.Options()...)
-	}
-	// ShBF_M clears in place, so rotation generates no garbage.
-	recycle := func(f *core.Membership) (*core.Membership, error) {
-		f.Reset()
-		return f, nil
-	}
-	rot, err := NewRotator(spec.Generations, spec.Tick, fresh, recycle)
+	r, err := newRing(spec, core.KindWindowMembership, buildMembership)
 	if err != nil {
 		return nil, err
 	}
-	return &Membership{rot: rot}, nil
+	return &Membership{r}, nil
+}
+
+// buildMembership builds one generation of the spec's geometry.
+func buildMembership(s core.Spec) (*core.Membership, error) {
+	return core.NewMembership(s.M, s.K, s.Options()...)
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing w's
+// state (ring, head, epoch, tick) with the decoded window.
+func (w *Membership) UnmarshalBinary(data []byte) error {
+	return w.decode(data, core.KindWindowMembership, buildMembership)
 }
 
 // Add inserts e into the head generation: e stays answerable until the
@@ -105,28 +102,10 @@ func (w *Membership) AddAll(keys [][]byte) error {
 // steady-state batches do not allocate.
 func (w *Membership) ContainsAll(dst []bool, keys [][]byte) []bool {
 	dst = resizeSlice(dst, len(keys))
-	ds := digestAll(&w.dscratch, keys)
-	for i, d := range ds {
+	for i, d := range w.digests(keys) {
 		dst[i] = w.ContainsDigest(d)
 	}
 	return dst
-}
-
-// Rotate retires the oldest generation and recycles it (cleared, in
-// place) as the new head. The error is always nil for the membership
-// window; the signature matches the shared Windowed surface.
-func (w *Membership) Rotate() error { return w.rot.Rotate() }
-
-// RotateIfDue rotates once when the spec's Tick has elapsed since the
-// last due rotation, reporting whether it did. See Rotator.RotateIfDue.
-func (w *Membership) RotateIfDue(now time.Time) (bool, error) { return w.rot.RotateIfDue(now) }
-
-// Window returns the rotation snapshot: ring length, epoch, tick, and
-// per-generation occupancy newest to oldest.
-func (w *Membership) Window() Info {
-	return w.rot.info(func(f *core.Membership) GenInfo {
-		return GenInfo{N: f.N(), FillRatio: f.FillRatio()}
-	})
 }
 
 // ForEachGeneration calls fn for every generation in the ring, newest
@@ -139,67 +118,13 @@ func (w *Membership) ForEachGeneration(fn func(g *core.Membership)) {
 	}
 }
 
-// M returns the per-generation base array size in bits.
-func (w *Membership) M() int { return w.rot.Head().M() }
-
-// K returns the bit positions per element.
-func (w *Membership) K() int { return w.rot.Head().K() }
-
 // MaxOffset returns the per-generation w̄.
 func (w *Membership) MaxOffset() int { return w.rot.Head().MaxOffset() }
-
-// Generations returns the ring length G.
-func (w *Membership) Generations() int { return w.rot.Generations() }
-
-// Epoch returns the number of completed rotations.
-func (w *Membership) Epoch() uint64 { return w.rot.Epoch() }
 
 // N returns the total elements held across generations — an upper
 // bound on the window's distinct cardinality, since a key re-added
 // after a rotation is counted in each generation holding it.
-func (w *Membership) N() int {
-	n := 0
-	for _, g := range w.rot.gens {
-		n += g.N()
-	}
-	return n
-}
-
-// SizeBytes returns the combined footprint of all generations.
-func (w *Membership) SizeBytes() int {
-	b := 0
-	for _, g := range w.rot.gens {
-		b += g.SizeBytes()
-	}
-	return b
-}
-
-// FillRatio returns the mean fill ratio across generations.
-func (w *Membership) FillRatio() float64 {
-	s := 0.0
-	for _, g := range w.rot.gens {
-		s += g.FillRatio()
-	}
-	return s / float64(len(w.rot.gens))
-}
+func (w *Membership) N() int { return w.sum((*core.Membership).N) }
 
 // Kind returns core.KindWindowMembership.
 func (w *Membership) Kind() core.Kind { return core.KindWindowMembership }
-
-// Spec returns the construction geometry; New(w.Spec()) builds an
-// empty ring identical to w before any Add.
-func (w *Membership) Spec() core.Spec {
-	return windowSpec(w.rot.Head().Spec(), core.KindWindowMembership,
-		w.rot.Generations(), w.rot.Tick())
-}
-
-// Stats returns the aggregate occupancy snapshot (N sums generations,
-// FillRatio is their mean).
-func (w *Membership) Stats() core.Stats {
-	return core.Stats{
-		Kind:      core.KindWindowMembership,
-		N:         w.N(),
-		SizeBytes: w.SizeBytes(),
-		FillRatio: w.FillRatio(),
-	}
-}

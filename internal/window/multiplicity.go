@@ -1,8 +1,6 @@
 package window
 
 import (
-	"time"
-
 	"shbf/internal/core"
 	"shbf/internal/hashing"
 )
@@ -17,8 +15,7 @@ import (
 // "packets in the last N minutes" instead of "packets ever". Not safe
 // for concurrent use — see sharded.WindowMultiplicity.
 type Multiplicity struct {
-	rot      *Rotator[*core.CountingMultiplicity]
-	dscratch []hashing.Digest
+	ring[core.CountingMultiplicity, *core.CountingMultiplicity]
 }
 
 // NewMultiplicity builds the window from its Spec (Kind
@@ -27,23 +24,22 @@ type Multiplicity struct {
 // Tick the rotation period). C caps a key's count per generation, so
 // the window-wide count is bounded by Generations × C.
 func NewMultiplicity(spec core.Spec) (*Multiplicity, error) {
-	if err := checkSpec(spec, core.KindWindowMultiplicity); err != nil {
-		return nil, err
-	}
-	fresh := func() (*core.CountingMultiplicity, error) {
-		return core.NewCountingMultiplicity(spec.M, spec.K, spec.C, spec.Options()...)
-	}
-	// CShBF_X (bits + counters + backing table) has no in-place Reset;
-	// a retired generation is rebuilt from spec. One rebuild per tick
-	// is cold-path work.
-	recycle := func(*core.CountingMultiplicity) (*core.CountingMultiplicity, error) {
-		return fresh()
-	}
-	rot, err := NewRotator(spec.Generations, spec.Tick, fresh, recycle)
+	r, err := newRing(spec, core.KindWindowMultiplicity, buildMultiplicity)
 	if err != nil {
 		return nil, err
 	}
-	return &Multiplicity{rot: rot}, nil
+	return &Multiplicity{r}, nil
+}
+
+// buildMultiplicity builds one generation of the spec's geometry.
+func buildMultiplicity(s core.Spec) (*core.CountingMultiplicity, error) {
+	return core.NewCountingMultiplicity(s.M, s.K, s.C, s.Options()...)
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing w's
+// state with the decoded window.
+func (w *Multiplicity) UnmarshalBinary(data []byte) error {
+	return w.decode(data, core.KindWindowMultiplicity, buildMultiplicity)
 }
 
 // Insert increments e's count in the head generation. It returns
@@ -113,97 +109,20 @@ func (w *Multiplicity) AddAll(keys [][]byte) error {
 // not allocate.
 func (w *Multiplicity) CountAll(dst []int, keys [][]byte) []int {
 	dst = resizeSlice(dst, len(keys))
-	ds := digestAll(&w.dscratch, keys)
-	for i, d := range ds {
+	for i, d := range w.digests(keys) {
 		dst[i] = w.CountDigest(d)
 	}
 	return dst
 }
 
-// Rotate retires the oldest generation's counts and installs a fresh
-// head generation. Rebuilding the generation can only fail on
-// exhausted memory.
-func (w *Multiplicity) Rotate() error { return w.rot.Rotate() }
-
-// RotateIfDue rotates once when the spec's Tick has elapsed since the
-// last due rotation, reporting whether it did. See Rotator.RotateIfDue.
-func (w *Multiplicity) RotateIfDue(now time.Time) (bool, error) { return w.rot.RotateIfDue(now) }
-
-// Window returns the rotation snapshot: ring length, epoch, tick, and
-// per-generation occupancy newest to oldest.
-func (w *Multiplicity) Window() Info {
-	return w.rot.info(func(f *core.CountingMultiplicity) GenInfo {
-		return GenInfo{N: f.N(), FillRatio: f.FillRatio()}
-	})
-}
-
-// M returns the per-generation base array size in bits.
-func (w *Multiplicity) M() int { return w.rot.Head().M() }
-
-// K returns the bit positions per element.
-func (w *Multiplicity) K() int { return w.rot.Head().K() }
-
 // C returns the per-generation maximum multiplicity.
 func (w *Multiplicity) C() int { return w.rot.Head().C() }
-
-// Generations returns the ring length G.
-func (w *Multiplicity) Generations() int { return w.rot.Generations() }
-
-// Epoch returns the number of completed rotations.
-func (w *Multiplicity) Epoch() uint64 { return w.rot.Epoch() }
 
 // N returns the total distinct elements held across generations (a key
 // spanning rotations counts once per generation), or −1 when the
 // generations run in the unsafe update mode, which tracks no exact
 // set.
-func (w *Multiplicity) N() int {
-	total := 0
-	for _, g := range w.rot.gens {
-		n := g.N()
-		if n < 0 {
-			return -1
-		}
-		total += n
-	}
-	return total
-}
-
-// SizeBytes returns the combined footprint of all generations.
-func (w *Multiplicity) SizeBytes() int {
-	b := 0
-	for _, g := range w.rot.gens {
-		b += g.SizeBytes()
-	}
-	return b
-}
-
-// FillRatio returns the mean query-array fill ratio across
-// generations.
-func (w *Multiplicity) FillRatio() float64 {
-	s := 0.0
-	for _, g := range w.rot.gens {
-		s += g.FillRatio()
-	}
-	return s / float64(len(w.rot.gens))
-}
+func (w *Multiplicity) N() int { return w.sum((*core.CountingMultiplicity).N) }
 
 // Kind returns core.KindWindowMultiplicity.
 func (w *Multiplicity) Kind() core.Kind { return core.KindWindowMultiplicity }
-
-// Spec returns the construction geometry; New(w.Spec()) builds an
-// empty ring identical to w before any Insert.
-func (w *Multiplicity) Spec() core.Spec {
-	return windowSpec(w.rot.Head().Spec(), core.KindWindowMultiplicity,
-		w.rot.Generations(), w.rot.Tick())
-}
-
-// Stats returns the aggregate occupancy snapshot (N sums generations,
-// FillRatio is their mean).
-func (w *Multiplicity) Stats() core.Stats {
-	return core.Stats{
-		Kind:      core.KindWindowMultiplicity,
-		N:         w.N(),
-		SizeBytes: w.SizeBytes(),
-		FillRatio: w.FillRatio(),
-	}
-}

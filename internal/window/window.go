@@ -17,7 +17,17 @@
 // rate at its tick-worth of load (analytic.FPRWindow). Unlike an
 // unbounded append-only filter, neither grows with stream length.
 //
-// Three windows cover the framework's query kinds:
+// Three windows cover the framework's query kinds, and each is written
+// once over one generic ring body. The body holds the Rotator, the
+// window kind and the batch digest scratch, and owns what a ring
+// answers as a whole: geometry (M, K, Generations, Epoch, Spec),
+// occupancy (SizeBytes, FillRatio, Stats, Window), rotation (Rotate,
+// RotateIfDue) and the ShBW snapshot (MarshalBinary, and the decoding
+// under each ring's UnmarshalBinary). It also owns the one recycle rule
+// of constructed and decoded rings alike: a retired generation that
+// can Reset is cleared in place, any other is rebuilt from its Spec.
+// Each window adds its build function, its writes to the head
+// generation and its per-key fan-out across the ring:
 //
 //   - [Membership] rings ShBF_M (core.Membership): Add/Contains with
 //     OR-of-generations queries.
@@ -43,6 +53,7 @@
 package window
 
 import (
+	"encoding"
 	"fmt"
 	"time"
 
@@ -85,8 +96,8 @@ func (p *TickPolicy) Due(now time.Time) bool {
 
 // Rotator is the generic generation ring under every window kind: G
 // filters of identical Spec, a head index naming the write generation,
-// and the rotation bookkeeping (epoch, tick policy). The typed windows
-// own one Rotator each and add the kind-specific query fan-out.
+// and the rotation bookkeeping (epoch, tick policy). Each window's
+// ring body owns one.
 type Rotator[F any] struct {
 	gens  []F
 	head  int
@@ -199,9 +210,134 @@ type GenInfo struct {
 	FillRatio float64
 }
 
-// info assembles the ring-level Info; the typed windows fill
-// PerGeneration from their generation accessors.
-func (r *Rotator[F]) info(gen func(F) GenInfo) Info {
+// generation is what a ring needs of its generation filter F: a
+// pointer to G, so decoding can allocate fresh generations, that
+// reports its geometry and occupancy and serializes itself.
+// core.Membership, core.CountingAssociation and
+// core.CountingMultiplicity qualify.
+type generation[G any] interface {
+	*G
+	M() int
+	K() int
+	Spec() core.Spec
+	Stats() core.Stats
+	SizeBytes() int
+	FillRatio() float64
+	encoding.BinaryMarshaler
+	encoding.BinaryUnmarshaler
+}
+
+// ring is the body every window shares, whatever it answers: the
+// generation ring, the window kind and the batch digest scratch, and
+// the surface read off the ring as a whole. Membership, Association
+// and Multiplicity embed it and add their writes to the head and their
+// per-key fan-out across the generations.
+type ring[G any, F generation[G]] struct {
+	rot      *Rotator[F]
+	kind     core.Kind
+	dscratch []hashing.Digest
+}
+
+// newRing validates spec against the window kind and builds its ring
+// of spec.Generations generations, each build(spec).
+func newRing[G any, F generation[G]](spec core.Spec, kind core.Kind, build func(core.Spec) (F, error)) (ring[G, F], error) {
+	if spec.Kind != kind {
+		return ring[G, F]{}, fmt.Errorf("window: spec kind %s, want %s", spec.Kind, kind)
+	}
+	if err := spec.Validate(); err != nil {
+		return ring[G, F]{}, err
+	}
+	rot, err := NewRotator(spec.Generations, spec.Tick, func() (F, error) { return build(spec) }, recycler(build))
+	return ring[G, F]{rot: rot, kind: kind}, err
+}
+
+// recycler is the one recycle rule of constructed and decoded rings: a
+// retired generation that can Reset (ShBF_M) is cleared in place, so
+// rotation makes no garbage; any other (the counting kinds, whose
+// counters and backing tables have no in-place Reset) is rebuilt from
+// its own Spec. One rebuild per tick is cold-path work.
+func recycler[F interface{ Spec() core.Spec }](build func(core.Spec) (F, error)) func(F) (F, error) {
+	return func(f F) (F, error) {
+		if r, ok := any(f).(interface{ Reset() }); ok {
+			r.Reset()
+			return f, nil
+		}
+		return build(f.Spec())
+	}
+}
+
+// M returns the per-generation base array size in bits.
+func (w *ring[G, F]) M() int { return w.rot.Head().M() }
+
+// K returns the bit positions per element.
+func (w *ring[G, F]) K() int { return w.rot.Head().K() }
+
+// Generations returns the ring length G.
+func (w *ring[G, F]) Generations() int { return w.rot.Generations() }
+
+// Epoch returns the number of completed rotations.
+func (w *ring[G, F]) Epoch() uint64 { return w.rot.Epoch() }
+
+// Rotate retires the oldest generation and recycles it as the new,
+// empty head (see recycler). Only a rebuild can fail, on exhausted
+// memory; the membership window's error is always nil.
+func (w *ring[G, F]) Rotate() error { return w.rot.Rotate() }
+
+// RotateIfDue rotates once when the spec's Tick has elapsed since the
+// last due rotation, reporting whether it did. See Rotator.RotateIfDue.
+func (w *ring[G, F]) RotateIfDue(now time.Time) (bool, error) { return w.rot.RotateIfDue(now) }
+
+// SizeBytes returns the combined footprint of all generations.
+func (w *ring[G, F]) SizeBytes() int {
+	b := 0
+	for _, g := range w.rot.gens {
+		b += g.SizeBytes()
+	}
+	return b
+}
+
+// FillRatio returns the mean query-array fill ratio across
+// generations.
+func (w *ring[G, F]) FillRatio() float64 {
+	s := 0.0
+	for _, g := range w.rot.gens {
+		s += g.FillRatio()
+	}
+	return s / float64(len(w.rot.gens))
+}
+
+// Spec returns the construction geometry: the head generation's
+// geometry and seed with the window kind, ring length and tick
+// attached. New(w.Spec()) builds an empty ring identical to w before
+// any write.
+func (w *ring[G, F]) Spec() core.Spec {
+	s := w.rot.Head().Spec()
+	s.Kind = w.kind
+	s.Generations = len(w.rot.gens)
+	s.Tick = w.rot.Tick()
+	return s
+}
+
+// Stats returns the aggregate occupancy snapshot: N sums the
+// generations' (both sets' sizes for association; see addCount for
+// the −1 of a ring that tracks no exact set), SizeBytes sums their
+// footprints and FillRatio is their mean.
+func (w *ring[G, F]) Stats() core.Stats {
+	st := core.Stats{Kind: w.kind}
+	for _, g := range w.rot.gens {
+		s := g.Stats()
+		st.N = addCount(st.N, s.N)
+		st.SizeBytes += s.SizeBytes
+		st.FillRatio += s.FillRatio
+	}
+	st.FillRatio /= float64(len(w.rot.gens))
+	return st
+}
+
+// Window returns the rotation snapshot: ring length, epoch, tick, and
+// per-generation occupancy newest to oldest (N as in Stats).
+func (w *ring[G, F]) Window() Info {
+	r := w.rot
 	in := Info{
 		Generations:   len(r.gens),
 		Epoch:         r.epoch,
@@ -209,25 +345,40 @@ func (r *Rotator[F]) info(gen func(F) GenInfo) Info {
 		PerGeneration: make([]GenInfo, len(r.gens)),
 	}
 	for age := range r.gens {
-		in.PerGeneration[age] = gen(r.gens[r.index(age)])
+		s := r.At(age).Stats()
+		in.PerGeneration[age] = GenInfo{N: s.N, FillRatio: s.FillRatio}
 	}
 	return in
 }
 
-// digestAll fills scratch with the keys' one-pass digests,
-// reallocating only on growth — the shared phase-one of every window
-// batch path: digest once, fan out across the ring with the cached
-// digests.
-func digestAll(scratch *[]hashing.Digest, keys [][]byte) []hashing.Digest {
-	ds := *scratch
-	if cap(ds) < len(keys) {
-		ds = make([]hashing.Digest, len(keys))
+// sum totals count over the generations, keeping addCount's −1.
+func (w *ring[G, F]) sum(count func(F) int) int {
+	total := 0
+	for _, g := range w.rot.gens {
+		total = addCount(total, count(g))
 	}
-	ds = ds[:len(keys)]
+	return total
+}
+
+// addCount adds a generation's element count n to a running total: a
+// generation that tracks no exact set (the unsafe update mode) counts
+// −1, and so does any total it joins.
+func addCount(total, n int) int {
+	if total < 0 || n < 0 {
+		return -1
+	}
+	return total + n
+}
+
+// digests fills the ring's scratch with the keys' one-pass digests,
+// reallocating only on growth — phase one of every batch read, whose
+// phase two fans each cached digest out across the ring.
+func (w *ring[G, F]) digests(keys [][]byte) []hashing.Digest {
+	ds := resizeSlice(w.dscratch, len(keys))
 	for i, e := range keys {
 		ds[i] = hashing.KeyDigest(e)
 	}
-	*scratch = ds
+	w.dscratch = ds
 	return ds
 }
 
@@ -239,23 +390,4 @@ func resizeSlice[T any](dst []T, n int) []T {
 		return make([]T, n)
 	}
 	return dst[:n]
-}
-
-// windowSpec lifts one generation's Spec to the enclosing window's:
-// same geometry and seed, window kind, ring length and tick attached.
-func windowSpec(inner core.Spec, kind core.Kind, g int, tick time.Duration) core.Spec {
-	s := inner
-	s.Kind = kind
-	s.Generations = g
-	s.Tick = tick
-	return s
-}
-
-// checkSpec validates the window-level fields common to every typed
-// constructor.
-func checkSpec(spec core.Spec, want core.Kind) error {
-	if spec.Kind != want {
-		return fmt.Errorf("window: spec kind %s, want %s", spec.Kind, want)
-	}
-	return spec.Validate()
 }
