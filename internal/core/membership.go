@@ -27,6 +27,7 @@ type Membership struct {
 	k       int    // total bit positions per element (even)
 	half    int    // k/2 base hash functions
 	wbar    int    // maximum offset value w̄
+	offMod  int    // w̄−1, the offset modulus (kept so offsetDigest inlines)
 	winMask uint64 // precomputed w̄-bit window mask for the uncounted read
 	fam     *hashing.Family
 	seed    uint64 // construction seed (retained for serialization)
@@ -69,6 +70,7 @@ func newMembership(m, k int, cfg config) (*Membership, error) {
 		k:       k,
 		half:    k / 2,
 		wbar:    cfg.maxOffset,
+		offMod:  cfg.maxOffset - 1,
 		winMask: ^uint64(0) >> (64 - uint(cfg.maxOffset)),
 		fam:     hashing.NewFamily(k/2+1, cfg.seed),
 		seed:    cfg.seed,
@@ -104,7 +106,7 @@ func (f *Membership) HashOpsPerAdd() int { return f.half + 1 }
 // from e's digest. The offset is never 0: a zero offset would collapse
 // the pair to a single bit (Section 3.1).
 func (f *Membership) offsetDigest(d hashing.Digest) int {
-	return hashing.Reduce(f.fam.FromDigest(f.half, d), f.wbar-1) + 1
+	return hashing.Reduce(f.fam.FromDigest(f.half, d), f.offMod) + 1
 }
 
 // Add inserts e: one digest pass, then k/2+1 mixes setting k bits.
@@ -135,31 +137,14 @@ func (f *Membership) AddDigest(d hashing.Digest) {
 // single integer mix it is now cheaper than the branch that deferred
 // it, so the pair mask is built up front.)
 func (f *Membership) Contains(e []byte) bool {
-	// Fused form of ContainsDigest(f.fam.Digest(e)): digest and probe
-	// loop share one frame, sparing the scalar hot path a call and a
-	// digest round-trip through the ABI. Keep in lockstep with
-	// ContainsDigest below.
-	d := hashing.KeyDigest(e)
-	pairMask := uint64(1) | uint64(1)<<uint(f.offsetDigest(d))
-	if f.bits.Counter() != nil {
-		return f.containsDigestCounted(d, pairMask)
-	}
-	fam, bits, m, winMask := f.fam, f.bits, f.m, f.winMask
-	for i, half := 0, f.half; i < half; i++ {
-		base := fam.ModFromDigest(i, d, m)
-		if bits.WindowUncounted(base, winMask)&pairMask != pairMask {
-			return false
-		}
-	}
-	return true
+	return f.ContainsDigest(hashing.KeyDigest(e))
 }
 
 // ContainsDigest answers Contains for the element whose digest is d.
 // Two loops, one semantics: the common counters-off case probes with
 // the inlinable uncounted window read; when an access counter is
 // attached (the experiments reproducing the paper's access figures)
-// the counted Window keeps the Section 3.1 accounting exact. Keep the
-// loop bodies in lockstep when changing either.
+// the counted Window keeps the Section 3.1 accounting exact.
 func (f *Membership) ContainsDigest(d hashing.Digest) bool {
 	pairMask := uint64(1) | uint64(1)<<uint(f.offsetDigest(d))
 	if f.bits.Counter() != nil {
