@@ -197,6 +197,45 @@ func TestOptionsRejectedPerKind(t *testing.T) {
 	}
 }
 
+// TestCounterWidthRange: a counter width outside [1, 64] is a
+// construction error naming the range on every kind with counters,
+// through the Spec and through the option (where 0 is not "unset"),
+// not a panic or a division by zero; both ends of the range build.
+func TestCounterWidthRange(t *testing.T) {
+	for _, tc := range []struct {
+		spec  shbf.Spec
+		build func(shbf.Option) error
+	}{
+		{shbf.Spec{Kind: shbf.KindCountingAssociation, M: 4096, K: 4},
+			func(o shbf.Option) error { return errOf(shbf.NewCountingAssociation(4096, 4, o)) }},
+		{shbf.Spec{Kind: shbf.KindCountingMultiplicity, M: 4096, K: 4, C: 57},
+			func(o shbf.Option) error { return errOf(shbf.NewCountingMultiplicity(4096, 4, 57, o)) }},
+		{shbf.Spec{Kind: shbf.KindCountingMembership, M: 4096, K: 6},
+			func(o shbf.Option) error { return errOf(shbf.NewCountingMembership(4096, 6, o)) }},
+		{shbf.Spec{Kind: shbf.KindSCMSketch, M: 1024, K: 4},
+			func(o shbf.Option) error { return errOf(shbf.NewSCMSketch(4, 1024, o)) }},
+	} {
+		kind := tc.spec.Kind
+		if err := tc.build(shbf.WithCounterWidth(0)); err == nil || !strings.Contains(err.Error(), "out of range [1, 64]") {
+			t.Errorf("%s with WithCounterWidth(0): err %v, want the range named", kind, err)
+		}
+		for _, w := range []uint{65, 99} {
+			spec := tc.spec
+			spec.CounterWidth = w
+			if _, err := shbf.New(spec); err == nil || !strings.Contains(err.Error(), "out of range [1, 64]") {
+				t.Errorf("%s with CounterWidth %d: err %v, want the range named", kind, w, err)
+			}
+		}
+		for _, w := range []uint{1, 64} {
+			spec := tc.spec
+			spec.CounterWidth = w
+			if _, err := shbf.New(spec); err != nil {
+				t.Errorf("%s with CounterWidth %d: %v", kind, w, err)
+			}
+		}
+	}
+}
+
 func errOf[F any](_ F, err error) error { return err }
 
 // TestSpecSeedZeroRoundTrips: zero is a valid seed, honored exactly —

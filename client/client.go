@@ -22,8 +22,12 @@
 //     transport for serving-path use.
 //   - "http://host:port" (or https) uses the /v2 HTTP/JSON API —
 //     convenient through proxies and LBs, and the only transport for
-//     ops tooling that wants readable wire traffic. Keys travel
-//     base64-encoded.
+//     ops tooling that wants readable wire traffic. Each op's method,
+//     path and body come from the route table the daemon serves
+//     (internal/wire), over net/http. Keys travel base64-encoded; the
+//     data-plane bodies are written and their answers read by a hand
+//     codec that falls back to encoding/json for any answer it does
+//     not recognize.
 //
 // Every handle addresses one namespace (tenant): a logical trio of
 // membership, association and multiplicity filters with its own

@@ -3,22 +3,27 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
+	"sync"
 
+	"shbf/internal/server"
 	"shbf/internal/wire"
 )
 
-// httpTransport maps the wire ops onto the daemon's /v2 HTTP/JSON API.
-// Keys travel base64-encoded (element IDs are arbitrary bytes), which
-// is exactly the decode overhead the binary transport exists to avoid
-// — this transport is for convenience and ops tooling, not the serving
-// hot path.
+// httpTransport maps the wire ops onto the daemon's /v2 HTTP/JSON API
+// through the route table the daemon registers its routes from
+// (wire.RouteOf): one lookup gives an op's method, path, request body
+// and answer. The data-plane bodies and answers go through the hand
+// codec (httpcodec.go) in pooled buffers. Keys travel base64-encoded,
+// the encode and decode cost the binary transport exists to avoid, so
+// this transport is for proxies and ops tooling, not the serving hot
+// path.
 type httpTransport struct {
 	base string
 	hc   *http.Client
@@ -36,292 +41,100 @@ func (t *httpTransport) close() error {
 	return nil
 }
 
-// encodeKeys maps binary keys to the JSON API's base64 form.
-func encodeKeys(keys [][]byte) []string {
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		out[i] = base64.StdEncoding.EncodeToString(k)
+// url builds the route's URL, with the namespace URL-escaped into a
+// tenant route's {ns} segment.
+func (t *httpTransport) url(path, ns string) string {
+	before, after, tenant := strings.Cut(path, "{ns}")
+	if !tenant {
+		return t.base + path
 	}
-	return out
-}
-
-// nsPath builds /v2/namespaces/{ns}{suffix} with the namespace
-// URL-escaped.
-func (t *httpTransport) nsPath(ns, suffix string) string {
 	if ns == "" {
-		ns = "default"
+		ns = server.DefaultNamespace
 	}
-	return t.base + "/v2/namespaces/" + url.PathEscape(ns) + suffix
+	return t.base + before + url.PathEscape(ns) + after
 }
 
 func (t *httpTransport) roundTrip(ctx context.Context, req *wire.Request, resp *wire.Response) error {
 	*resp = wire.Response{Status: wire.StatusOK, Op: req.Op}
-	switch req.Op {
-	case wire.OpPing:
-		return t.get(ctx, req, resp, t.base+"/healthz", nil)
-
-	case wire.OpStats:
-		var raw json.RawMessage
-		if err := t.get(ctx, req, resp, t.nsPath(req.Namespace, "/stats"), &raw); err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		resp.Blob = raw
-		return nil
-
-	case wire.OpNamespaceList:
-		var raw json.RawMessage
-		if err := t.get(ctx, req, resp, t.base+"/v2/namespaces", &raw); err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		resp.Blob = raw
-		return nil
-
-	case wire.OpNamespaceCreate:
-		return t.post(ctx, req, resp, t.base+"/v2/namespaces", json.RawMessage(req.Blob), nil)
-
-	case wire.OpNamespaceDelete:
-		return t.doJSON(ctx, req, resp, http.MethodDelete, t.nsPath(req.Namespace, ""), nil, nil)
-
-	case wire.OpRotate:
-		var body struct {
-			Rotated []string `json:"rotated"`
-			Epoch   uint64   `json:"epoch"`
-		}
-		if err := t.post(ctx, req, resp, t.nsPath(req.Namespace, "/rotate"), struct{}{}, &body); err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		resp.Rotated, resp.Epoch = body.Rotated, body.Epoch
-		return nil
-
-	case wire.OpMembershipAdd:
-		var body struct {
-			Added uint64 `json:"added"`
-		}
-		payload := map[string]any{"keys": encodeKeys(req.Keys), "encoding": "base64"}
-		if err := t.post(ctx, req, resp, t.nsPath(req.Namespace, "/membership/add"), payload, &body); err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		resp.Applied = body.Added
-		return nil
-
-	case wire.OpMembershipContains:
-		var body struct {
-			Results []bool `json:"results"`
-		}
-		payload := map[string]any{"keys": encodeKeys(req.Keys), "encoding": "base64"}
-		if err := t.post(ctx, req, resp, t.nsPath(req.Namespace, "/membership/contains"), payload, &body); err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		resp.Bools = body.Results
-		return nil
-
-	case wire.OpAssociationAdd, wire.OpAssociationRemove:
-		var body struct {
-			Applied uint64 `json:"applied"`
-		}
-		suffix := "/association/add"
-		if req.Op == wire.OpAssociationRemove {
-			suffix = "/association/remove"
-		}
-		payload := map[string]any{"set": int(req.Set), "keys": encodeKeys(req.Keys), "encoding": "base64"}
-		if err := t.post(ctx, req, resp, t.nsPath(req.Namespace, suffix), payload, &body); err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		resp.Applied = body.Applied
-		return nil
-
-	case wire.OpAssociationQuery:
-		var body struct {
-			Results []struct {
-				Mask *uint8 `json:"mask"`
-			} `json:"results"`
-		}
-		payload := map[string]any{"keys": encodeKeys(req.Keys), "encoding": "base64"}
-		if err := t.post(ctx, req, resp, t.nsPath(req.Namespace, "/association/classify"), payload, &body); err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		resp.Regions = make([]byte, len(body.Results))
-		for i, r := range body.Results {
-			if r.Mask == nil {
-				return fmt.Errorf("client: classify result %d has no mask (daemon too old for the v2 API?)", i)
-			}
-			resp.Regions[i] = *r.Mask
-		}
-		return nil
-
-	case wire.OpMultiplicityAdd, wire.OpMultiplicityRemove:
-		var body struct {
-			Applied uint64 `json:"applied"`
-		}
-		suffix := "/multiplicity/add"
-		if req.Op == wire.OpMultiplicityRemove {
-			suffix = "/multiplicity/remove"
-		}
-		items := make([]map[string]any, 0, len(req.Keys))
-		for i, k := range req.Keys {
-			count := 1
-			if len(req.Counts) != 0 {
-				count = req.Counts[i]
-			}
-			if count == 0 {
-				continue // wire semantics: zero count applies nothing
-			}
-			items = append(items, map[string]any{
-				"key":   base64.StdEncoding.EncodeToString(k),
-				"count": count,
-			})
-		}
-		payload := map[string]any{"items": items, "encoding": "base64"}
-		if err := t.post(ctx, req, resp, t.nsPath(req.Namespace, suffix), payload, &body); err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		resp.Applied = body.Applied
-		return nil
-
-	case wire.OpMultiplicityCount:
-		var body struct {
-			Counts []int `json:"counts"`
-		}
-		payload := map[string]any{"keys": encodeKeys(req.Keys), "encoding": "base64"}
-		if err := t.post(ctx, req, resp, t.nsPath(req.Namespace, "/multiplicity/count"), payload, &body); err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		resp.Counts = body.Counts
-		return nil
-
-	case wire.OpMetrics:
-		// The scrape is Prometheus text, not JSON.
-		data, err := t.doRaw(ctx, req, resp, http.MethodGet, t.base+"/metrics", "", nil)
-		if err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		resp.Blob = data
-		return nil
-
-	case wire.OpClusterMap:
-		var raw json.RawMessage
-		if err := t.get(ctx, req, resp, t.base+"/v2/cluster", &raw); err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		resp.Blob = raw
-		return nil
-
-	case wire.OpMembershipDump:
-		// The envelope endpoint serves raw ShBE bytes, not JSON.
-		data, err := t.doRaw(ctx, req, resp, http.MethodGet, t.nsPath(req.Namespace, "/membership/envelope"), "", nil)
-		if err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		resp.Blob = data
-		return nil
-
-	case wire.OpFreeze:
-		// The freeze endpoint serves raw ShBZ bytes, not JSON.
-		data, err := t.doRaw(ctx, req, resp, http.MethodPost, t.nsPath(req.Namespace, "/freeze"), "", nil)
-		if err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		resp.Blob = data
-		return nil
-
-	case wire.OpMembershipMerge:
-		// The merge body is a raw ShBE envelope; the reply is JSON.
-		data, err := t.doRaw(ctx, req, resp, http.MethodPost, t.nsPath(req.Namespace, "/merge"), "application/octet-stream", req.Blob)
-		if err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		var body struct {
-			MergedN uint64 `json:"merged_n"`
-		}
-		if err := json.Unmarshal(data, &body); err != nil {
-			return fmt.Errorf("client: decoding merge response: %w", err)
-		}
-		resp.Applied = body.MergedN
-		return nil
-
-	case wire.OpMultiplicityDump:
-		// The envelope endpoint serves raw ShBE bytes, not JSON.
-		data, err := t.doRaw(ctx, req, resp, http.MethodGet, t.nsPath(req.Namespace, "/multiplicity/envelope"), "", nil)
-		if err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		resp.Blob = data
-		return nil
-
-	case wire.OpMultiplicityMerge:
-		// The merge body is a raw ShBE envelope; the reply is JSON.
-		data, err := t.doRaw(ctx, req, resp, http.MethodPost, t.nsPath(req.Namespace, "/multiplicity/merge"), "application/octet-stream", req.Blob)
-		if err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		var body struct {
-			MergedN uint64 `json:"merged_n"`
-		}
-		if err := json.Unmarshal(data, &body); err != nil {
-			return fmt.Errorf("client: decoding merge response: %w", err)
-		}
-		resp.Applied = body.MergedN
-		return nil
+	rt, ok := wire.RouteOf(req.Op)
+	if !ok {
+		return fmt.Errorf("client: op %s has no HTTP mapping", wire.OpName(req.Op))
 	}
-	return fmt.Errorf("client: op %s has no HTTP mapping", wire.OpName(req.Op))
-}
-
-func (t *httpTransport) get(ctx context.Context, req *wire.Request, resp *wire.Response, url string, out any) error {
-	return t.doJSON(ctx, req, resp, http.MethodGet, url, nil, out)
-}
-
-func (t *httpTransport) post(ctx context.Context, req *wire.Request, resp *wire.Response, url string, payload, out any) error {
-	return t.doJSON(ctx, req, resp, http.MethodPost, url, payload, out)
-}
-
-// doJSON runs one JSON HTTP exchange over doRaw, decoding the success
-// body into out.
-func (t *httpTransport) doJSON(ctx context.Context, req *wire.Request, resp *wire.Response, method, url string, payload, out any) error {
-	var body []byte
-	contentType := ""
-	if payload != nil {
-		b, err := json.Marshal(payload)
-		if err != nil {
-			return fmt.Errorf("client: encoding %s request: %w", wire.OpName(req.Op), err)
+	x := exchanges.Get().(*exchange)
+	defer x.release()
+	var (
+		body        []byte
+		contentType = "application/json"
+		err         error
+	)
+	switch rt.Body {
+	case wire.BodyNone:
+		contentType = ""
+	case wire.BodyJSON:
+		body = req.Blob
+	case wire.BodyRaw:
+		body, contentType = req.Blob, "application/octet-stream"
+	default:
+		if x.out, err = appendBody(x.out[:0], rt.Body, req); err != nil {
+			return err
 		}
-		body, contentType = b, "application/json"
+		// The transport may read a request body after the answer has
+		// arrived, so it gets a copy rather than the pooled buffer.
+		body = bytes.Clone(x.out)
 	}
-	data, err := t.doRaw(ctx, req, resp, method, url, contentType, body)
+	data, err := x.do(ctx, t.hc, req, resp, rt.Method, t.url(rt.Path, req.Namespace), contentType, body)
 	if err != nil || resp.Status != wire.StatusOK {
 		return err
 	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			return fmt.Errorf("client: decoding %s response: %w", wire.OpName(req.Op), err)
-		}
-	}
-	return nil
+	return decodeAnswer(rt.Answer, data, req, resp)
 }
 
-// doRaw runs one HTTP exchange with an arbitrary request body and
-// returns the raw response body, mapping HTTP failure statuses onto
-// the wire status codes so both transports report identically.
-func (t *httpTransport) doRaw(ctx context.Context, req *wire.Request, resp *wire.Response, method, url, contentType string, body []byte) ([]byte, error) {
+// exchange is one round trip's buffers, pooled across calls: a
+// data-plane request body as it is encoded, and the answer.
+type exchange struct {
+	out, in []byte
+}
+
+var exchanges = sync.Pool{New: func() any { return new(exchange) }}
+
+// maxPooledExchange bounds the buffers a pooled exchange keeps, so a
+// rare huge batch or envelope is left to the GC instead of pinning
+// its buffers.
+const maxPooledExchange = 1 << 20
+
+// release returns x to the pool; nothing read from x may be used
+// afterwards.
+func (x *exchange) release() {
+	if cap(x.out) <= maxPooledExchange && cap(x.in) <= maxPooledExchange {
+		exchanges.Put(x)
+	}
+}
+
+// do runs one HTTP exchange and returns the answer's bytes, which live
+// in x, mapping HTTP failure statuses onto the wire status codes so
+// both transports report identically.
+func (x *exchange) do(ctx context.Context, hc *http.Client, req *wire.Request, resp *wire.Response, method, target, contentType string, body []byte) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	hreq, err := http.NewRequestWithContext(ctx, method, url, rd)
+	hreq, err := http.NewRequestWithContext(ctx, method, target, rd)
 	if err != nil {
 		return nil, err
 	}
 	if contentType != "" {
 		hreq.Header.Set("Content-Type", contentType)
 	}
-	hresp, err := t.hc.Do(hreq)
+	hresp, err := hc.Do(hreq)
 	if err != nil {
 		return nil, fmt.Errorf("client: %s: %w", wire.OpName(req.Op), err)
 	}
 	defer hresp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(hresp.Body, wire.MaxFrame+1))
+	x.in, err = readAnswer(x.in[:0], hresp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("client: reading %s response: %w", wire.OpName(req.Op), err)
 	}
+	data := x.in
 	if len(data) > wire.MaxFrame {
 		// The ShBP listener refuses such an answer in band; report it
 		// the same way rather than return a truncated body.
@@ -342,4 +155,23 @@ func (t *httpTransport) doRaw(ctx context.Context, req *wire.Request, resp *wire
 		return nil, nil
 	}
 	return data, nil
+}
+
+// readAnswer appends an answer body to dst, at most one byte more than
+// wire.MaxFrame, so an oversized answer is seen without being held.
+func readAnswer(dst []byte, r io.Reader) ([]byte, error) {
+	for len(dst) <= wire.MaxFrame {
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, 512)
+		}
+		n, err := r.Read(dst[len(dst):min(cap(dst), wire.MaxFrame+1)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
 }

@@ -18,9 +18,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -124,9 +129,9 @@ func (n *Node) Restart() error {
 	}
 	// Rebind the exact addresses the cluster map (and every client
 	// holding it) routes to. The old listeners are fully closed by
-	// Kill, so the ports are free — a race with another process
-	// grabbing a loopback port in the gap is possible but vanishingly
-	// rare, and surfaces as a plain error here.
+	// Kill, and their ports lie below the kernel's ephemeral range
+	// (listenLoopback), so no outgoing connection or bind to port 0
+	// can have taken them in the gap.
 	httpLn, err := net.Listen("tcp", n.HTTPAddr)
 	if err != nil {
 		return fmt.Errorf("node %s: restart: http listener: %w", n.ID, err)
@@ -216,11 +221,11 @@ func startNode(id string, cfg server.Config, dir string) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("node %s: %w", id, err)
 	}
-	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
+	httpLn, err := listenLoopback()
 	if err != nil {
 		return nil, fmt.Errorf("node %s: http listener: %w", id, err)
 	}
-	shbpLn, err := net.Listen("tcp", "127.0.0.1:0")
+	shbpLn, err := listenLoopback()
 	if err != nil {
 		httpLn.Close()
 		return nil, fmt.Errorf("node %s: shbp listener: %w", id, err)
@@ -256,6 +261,40 @@ func startNode(id string, cfg server.Config, dir string) (*Node, error) {
 		}
 	}()
 	return n, nil
+}
+
+// The range of ports listenLoopback draws from: from portFloor, clear
+// of the well-known service ports, up to the kernel's ephemeral range.
+const (
+	portFloor      = 10000
+	portRangeFile  = "/proc/sys/net/ipv4/ip_local_port_range"
+	maxBindRetries = 100
+)
+
+// listenLoopback binds a loopback TCP listener that a killed node can
+// rebind. A port from 127.0.0.1:0 comes from the kernel's ephemeral
+// range, where any process's outgoing connection or bind to port 0 can
+// take it once the node's listener is closed. So the port is drawn at
+// random below that range instead, retrying on a port in use; without
+// a readable range it falls back to port 0.
+func listenLoopback() (net.Listener, error) {
+	low := 0
+	if b, err := os.ReadFile(portRangeFile); err == nil {
+		if f := strings.Fields(string(b)); len(f) == 2 {
+			low, _ = strconv.Atoi(f[0])
+		}
+	}
+	if low <= portFloor {
+		return net.Listen("tcp", "127.0.0.1:0")
+	}
+	for range maxBindRetries {
+		port := portFloor + rand.IntN(low-portFloor)
+		ln, err := net.Listen("tcp", net.JoinHostPort("127.0.0.1", strconv.Itoa(port)))
+		if !errors.Is(err, syscall.EADDRINUSE) {
+			return ln, err
+		}
+	}
+	return nil, fmt.Errorf("clustertest: no free loopback port in [%d, %d) after %d tries", portFloor, low, maxBindRetries)
 }
 
 // CreateNamespace creates a tenant on every live node, as a cluster

@@ -34,7 +34,7 @@ type Proxy struct {
 // NewProxy starts a proxy on a fresh loopback port forwarding to
 // backend ("host:port").
 func NewProxy(backend string) (*Proxy, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := listenLoopback()
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,9 @@ package clustertest
 import (
 	"io"
 	"net"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -157,5 +160,36 @@ func TestNodeRestart(t *testing.T) {
 	// Restart is a no-op on a live node.
 	if err := n.Restart(); err != nil {
 		t.Fatalf("restart of a live node: %v", err)
+	}
+}
+
+// TestListenersBelowEphemeralRange: node and proxy listeners take
+// ports below the kernel's ephemeral range, where no outgoing
+// connection or bind to port 0 can take one while a killed node or
+// proxy is down.
+func TestListenersBelowEphemeralRange(t *testing.T) {
+	b, err := os.ReadFile(portRangeFile)
+	if err != nil {
+		t.Skipf("no ephemeral port range to check against: %v", err)
+	}
+	f := strings.Fields(string(b))
+	low, err := strconv.Atoi(f[0])
+	if err != nil || low <= portFloor {
+		t.Skipf("ephemeral range %q leaves no room above %d", b, portFloor)
+	}
+	n := Start(t, Options{Nodes: 1}).Nodes[0]
+	p, err := NewProxy(n.ShBPAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for _, addr := range []string{n.HTTPAddr, n.ShBPAddr, p.Addr()} {
+		_, port, err := net.SplitHostPort(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, _ := strconv.Atoi(port); p < portFloor || p >= low {
+			t.Errorf("listener %s outside [%d, %d)", addr, portFloor, low)
+		}
 	}
 }

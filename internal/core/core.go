@@ -176,7 +176,8 @@ func CheckOptions(kind Kind, opts ...Option) error {
 }
 
 // buildConfig resolves opts against kind's defaults, rejecting options
-// that do not apply to kind.
+// that do not apply to kind and a counter width the counter arrays
+// cannot hold.
 func buildConfig(kind Kind, opts []Option) (config, error) {
 	cfg := defaultConfig(kind)
 	if err := CheckOptions(kind, opts...); err != nil {
@@ -184,6 +185,9 @@ func buildConfig(kind Kind, opts []Option) (config, error) {
 	}
 	for _, o := range opts {
 		o.apply(&cfg)
+	}
+	if cfg.counterWidth < 1 || cfg.counterWidth > 64 {
+		return cfg, fmt.Errorf("core: counter width %d out of range [1, 64]", cfg.counterWidth)
 	}
 	return cfg, nil
 }

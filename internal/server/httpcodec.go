@@ -8,11 +8,9 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"strconv"
 	"sync"
 	"unicode/utf8"
 
-	"shbf/internal/core"
 	"shbf/internal/wire"
 )
 
@@ -42,8 +40,9 @@ import (
 // both live in a pooled httpBody until the handler returns. That is
 // safe for the reason ShBP keys may point into their frame: no filter
 // keeps a key slice (the key-storing kinds copy keys into their
-// tables). Success answers are appended into one buffer and written
-// with one Write; error answers keep writeJSON.
+// tables). Success answers are appended into one buffer by the answer
+// encoders the client's decoder is held to (wire.AppendTally and its
+// siblings) and written with one Write; error answers keep writeJSON.
 
 // keyBatch is the common request shape: a batch of element keys, read
 // as raw bytes ("encoding": "raw", the default) or base64
@@ -72,23 +71,12 @@ type setBatch struct {
 	Encoding string   `json:"encoding,omitempty"`
 }
 
-// bodyShape names a route's request body.
-type bodyShape uint8
-
-const (
-	shapeKeys  bodyShape = iota // keyBatch
-	shapeSet                    // setBatch
-	shapeItems                  // countedBatch
-	shapeNone                   // no body read
-	shapeRaw                    // the bytes are the request's Blob
-)
-
 // httpBody is one HTTP request's decode, dispatch and encode state,
 // pooled across requests.
 type httpBody struct {
 	in         []byte   // the request body
 	wire       [][]byte // the keys as sent: raw or base64 text
-	itemCounts []int    // shapeItems: each item's count as sent
+	itemCounts []int    // wire.BodyItems: each item's count as sent
 	encoding   []byte
 	set        int
 
@@ -125,7 +113,7 @@ func (b *httpBody) release() {
 // from the route's namespace ("" on the v1 routes: the default
 // namespace) and its body, runs it through dispatch, and writes the
 // wire.Response back as the route's answer.
-func (s *Server) serveOp(op byte, shape bodyShape) http.HandlerFunc {
+func (s *Server) serveOp(op byte, shape wire.BodyShape) http.HandlerFunc {
 	return s.instrumentHTTP(wire.OpName(op), func(w http.ResponseWriter, r *http.Request) {
 		b := getHTTPBody()
 		defer b.release()
@@ -143,13 +131,13 @@ func (s *Server) serveOp(op byte, shape bodyShape) http.HandlerFunc {
 // that does not decode is refused checking the JSON, then each key in
 // turn (for items, its key before its count); the set is the core's to
 // check, except one the request's byte cannot carry.
-func (b *httpBody) read(w http.ResponseWriter, r *http.Request, shape bodyShape) error {
-	if shape == shapeNone {
+func (b *httpBody) read(w http.ResponseWriter, r *http.Request, shape wire.BodyShape) error {
+	if shape == wire.BodyNone {
 		return nil
 	}
 	var err error
 	b.in, err = appendBody(b.in[:0], http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if shape == shapeRaw {
+	if shape == wire.BodyJSON || shape == wire.BodyRaw {
 		b.req.Blob = b.in
 		if err != nil {
 			return fmt.Errorf("reading request: %w", err)
@@ -163,7 +151,7 @@ func (b *httpBody) read(w http.ResponseWriter, r *http.Request, shape bodyShape)
 		err = checkSet(b.set)
 	}
 	if err == nil {
-		err = b.decodeKeys(shape == shapeItems)
+		err = b.decodeKeys(shape == wire.BodyItems)
 	}
 	b.req.Keys, b.req.Set, b.req.Counts = b.keys, byte(b.set), b.itemCounts
 	return err
@@ -193,7 +181,7 @@ func appendBody(dst []byte, r io.Reader) ([]byte, error) {
 // path of every body outside the canonical subset. rerr, the error
 // that ended the body read, is replayed after the bytes, so the
 // decoder sees the stream it would have read from the request.
-func (b *httpBody) decodeJSON(shape bodyShape, rerr error) error {
+func (b *httpBody) decodeJSON(shape wire.BodyShape, rerr error) error {
 	var src io.Reader = bytes.NewReader(b.in)
 	if rerr != nil {
 		src = io.MultiReader(src, errReader{rerr})
@@ -204,19 +192,19 @@ func (b *httpBody) decodeJSON(shape bodyShape, rerr error) error {
 		enc  string
 	)
 	switch shape {
-	case shapeKeys:
+	case wire.BodyKeys:
 		var req keyBatch
 		if err := decodeStrict(src, &req); err != nil {
 			return err
 		}
 		keys, enc = req.Keys, req.Encoding
-	case shapeSet:
+	case wire.BodySet:
 		var req setBatch
 		if err := decodeStrict(src, &req); err != nil {
 			return err
 		}
 		keys, enc, b.set = req.Keys, req.Encoding, req.Set
-	case shapeItems:
+	case wire.BodyItems:
 		var req countedBatch
 		if err := decodeStrict(src, &req); err != nil {
 			return err
@@ -292,7 +280,7 @@ func (b *httpBody) decodeKeys(items bool) error {
 
 // parse decodes b.in as shape, reporting false for any body outside
 // the canonical subset.
-func (b *httpBody) parse(shape bodyShape) bool {
+func (b *httpBody) parse(shape wire.BodyShape) bool {
 	b.wire, b.itemCounts, b.encoding, b.set = b.wire[:0], b.itemCounts[:0], nil, 0
 	s := scanner{b: b.in}
 	var seenKeys, seenEncoding, seenSet bool
@@ -301,10 +289,10 @@ func (b *httpBody) parse(shape bodyShape) bool {
 		case string(name) == "encoding" && !seenEncoding:
 			seenEncoding = true
 			b.encoding, ok = s.str()
-		case string(name) == "set" && shape == shapeSet && !seenSet:
+		case string(name) == "set" && shape == wire.BodySet && !seenSet:
 			seenSet = true
 			b.set, ok = s.int()
-		case string(name) == "keys" && shape != shapeItems && !seenKeys:
+		case string(name) == "keys" && shape != wire.BodyItems && !seenKeys:
 			seenKeys = true
 			ok = s.array(func() (ok bool) {
 				var k []byte
@@ -312,7 +300,7 @@ func (b *httpBody) parse(shape bodyShape) bool {
 				b.wire = append(b.wire, k)
 				return ok
 			})
-		case string(name) == "items" && shape == shapeItems && !seenKeys:
+		case string(name) == "items" && shape == wire.BodyItems && !seenKeys:
 			seenKeys = true
 			ok = s.array(func() bool { return b.parseItem(&s) })
 		}
@@ -485,16 +473,16 @@ func (b *httpBody) answer(w http.ResponseWriter, err error) {
 	b.out = b.out[:0]
 	switch b.req.Op {
 	case wire.OpMembershipAdd:
-		b.out = appendTally(b.out, "added", int(resp.Applied))
+		b.out = wire.AppendTally(b.out, "added", int(resp.Applied))
 	case wire.OpAssociationAdd, wire.OpAssociationRemove, wire.OpMultiplicityAdd, wire.OpMultiplicityRemove:
-		b.out = appendTally(b.out, "applied", int(resp.Applied))
+		b.out = wire.AppendTally(b.out, "applied", int(resp.Applied))
 	case wire.OpMembershipContains:
-		b.out = appendBools(b.out, resp.Bools)
+		b.out = wire.AppendBools(b.out, resp.Bools)
 	case wire.OpAssociationQuery:
 		// Only the v2 routes carry the raw mask; the v1 shape is frozen.
-		b.out = appendRegions(b.out, b.regions, b.req.Namespace != "")
+		b.out = wire.AppendRegions(b.out, b.regions, b.req.Namespace != "")
 	case wire.OpMultiplicityCount:
-		b.out = appendCounts(b.out, resp.Counts)
+		b.out = wire.AppendCounts(b.out, resp.Counts)
 	case wire.OpStats, wire.OpNamespaceList:
 		b.out = append(append(b.out, resp.Blob...), '\n') // as json.Encoder ends it
 	case wire.OpClusterMap:
@@ -522,90 +510,4 @@ func (b *httpBody) answer(w http.ResponseWriter, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(b.out)
-}
-
-// The append encoders write the bytes json.Encoder.Encode writes for
-// the same values, trailing newline included (pinned by
-// TestAnswerEncodersMatchEncodingJSON).
-
-// appendTally appends {"<name>":n}, the added and applied answers.
-func appendTally(dst []byte, name string, n int) []byte {
-	dst = append(dst, `{"`...)
-	dst = append(dst, name...)
-	dst = append(dst, `":`...)
-	dst = strconv.AppendInt(dst, int64(n), 10)
-	return append(dst, "}\n"...)
-}
-
-// appendBools appends the contains answer {"results":[...]}.
-func appendBools(dst []byte, results []bool) []byte {
-	dst = append(dst, `{"results":[`...)
-	for i, v := range results {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = strconv.AppendBool(dst, v)
-	}
-	return append(dst, "]}\n"...)
-}
-
-// appendCounts appends the count answer {"counts":[...]}.
-func appendCounts(dst []byte, counts []int) []byte {
-	dst = append(dst, `{"counts":[`...)
-	for i, c := range counts {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = strconv.AppendInt(dst, int64(c), 10)
-	}
-	return append(dst, "]}\n"...)
-}
-
-// candidateNames lists the atomic regions in the order a classify
-// answer names them.
-var candidateNames = [...]struct {
-	r    core.Region
-	name string
-}{{core.RegionS1Only, "s1-only"}, {core.RegionBoth, "both"}, {core.RegionS2Only, "s2-only"}}
-
-// appendRegions appends the classify answer: per key, its region name,
-// the candidate atomic regions (an empty list is a definite non-member
-// of both sets), whether it is the paper's "clear answer" (exactly one
-// candidate), whether it lies in S1 or S2, and, on the v2 routes, the
-// raw candidate bitmask the native client round-trips (the v1 shape is
-// frozen without it).
-func appendRegions(dst []byte, regions []core.Region, withMask bool) []byte {
-	dst = append(dst, `{"results":[`...)
-	for i, r := range regions {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `{"region":"`...)
-		dst = append(dst, r.String()...) // region names need no JSON escaping
-		dst = append(dst, `","candidates":[`...)
-		first := true
-		for _, c := range candidateNames {
-			if r.Contains(c.r) {
-				if !first {
-					dst = append(dst, ',')
-				}
-				dst = append(dst, '"')
-				dst = append(dst, c.name...)
-				dst = append(dst, '"')
-				first = false
-			}
-		}
-		dst = append(dst, `],"clear":`...)
-		dst = strconv.AppendBool(dst, r.Clear())
-		dst = append(dst, `,"in_s1":`...)
-		dst = strconv.AppendBool(dst, r.InS1())
-		dst = append(dst, `,"in_s2":`...)
-		dst = strconv.AppendBool(dst, r.InS2())
-		if withMask {
-			dst = append(dst, `,"mask":`...)
-			dst = strconv.AppendUint(dst, uint64(r), 10)
-		}
-		dst = append(dst, '}')
-	}
-	return append(dst, "]}\n"...)
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"shbf/internal/core"
+	"shbf/internal/wire"
 )
 
 // TestHTTPCodecAllocFree pins the steady-state read, decode and encode
@@ -17,14 +18,14 @@ import (
 // zero allocations.
 func TestHTTPCodecAllocFree(t *testing.T) {
 	keys := make([][]byte, 16)
-	wire := make([]string, len(keys))
+	sent := make([]string, len(keys))
 	items := make([]map[string]any, len(keys))
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("flow-id-%05d", i)) // 13 bytes, as a 5-tuple
-		wire[i] = base64.StdEncoding.EncodeToString(keys[i])
-		items[i] = map[string]any{"key": wire[i], "count": 1}
+		sent[i] = base64.StdEncoding.EncodeToString(keys[i])
+		items[i] = map[string]any{"key": sent[i], "count": 1}
 	}
-	keysBody, err := json.Marshal(map[string]any{"keys": wire, "encoding": "base64"})
+	keysBody, err := json.Marshal(map[string]any{"keys": sent, "encoding": "base64"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestHTTPCodecAllocFree(t *testing.T) {
 		b  httpBody
 		rd bytes.Reader
 	)
-	decode := func(body []byte, shape bodyShape) {
+	decode := func(body []byte, shape wire.BodyShape) {
 		rd.Reset(body)
 		var err error
 		if b.in, err = appendBody(b.in[:0], &rd); err != nil {
@@ -48,14 +49,14 @@ func TestHTTPCodecAllocFree(t *testing.T) {
 		if !b.parse(shape) {
 			t.Fatalf("%s is outside the canonical subset", body)
 		}
-		if err := b.decodeKeys(shape == shapeItems); err != nil {
+		if err := b.decodeKeys(shape == wire.BodyItems); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, tc := range []struct {
 		body  []byte
-		shape bodyShape
-	}{{keysBody, shapeKeys}, {itemsBody, shapeItems}} {
+		shape wire.BodyShape
+	}{{keysBody, wire.BodyKeys}, {itemsBody, wire.BodyItems}} {
 		decode(tc.body, tc.shape)
 		for i := range keys {
 			if !bytes.Equal(b.keys[i], keys[i]) {
@@ -64,13 +65,13 @@ func TestHTTPCodecAllocFree(t *testing.T) {
 		}
 	}
 	requireZeroAllocs(t, "http codec/keys+answers", 100, func() {
-		decode(keysBody, shapeKeys)
-		b.out = appendBools(b.out[:0], bools)
-		b.out = appendCounts(b.out[:0], counts)
-		b.out = appendRegions(b.out[:0], regions, true)
+		decode(keysBody, wire.BodyKeys)
+		b.out = wire.AppendBools(b.out[:0], bools)
+		b.out = wire.AppendCounts(b.out[:0], counts)
+		b.out = wire.AppendRegions(b.out[:0], regions, true)
 	})
 	requireZeroAllocs(t, "http codec/items+applied", 100, func() {
-		decode(itemsBody, shapeItems)
-		b.out = appendTally(b.out[:0], "applied", len(b.keys))
+		decode(itemsBody, wire.BodyItems)
+		b.out = wire.AppendTally(b.out[:0], "applied", len(b.keys))
 	})
 }

@@ -9,6 +9,7 @@ import (
 
 	"shbf/client"
 	"shbf/internal/server"
+	"shbf/internal/wire"
 )
 
 // bodyRecorder serves requests from an in-process handler and records
@@ -64,19 +65,19 @@ func TestClientBodiesTakeFastPath(t *testing.T) {
 	set, assoc, counter := ns.Set(), ns.Associator(), ns.Counter()
 	for _, st := range []struct {
 		route string
-		shape int
+		shape wire.BodyShape
 		run   func() error
 	}{
-		{"/membership/add", server.ShapeKeys, func() error { return set.AddAll(keys) }},
-		{"/membership/contains", server.ShapeKeys, func() error { _, err := set.Check(keys); return err }},
-		{"/association/add", server.ShapeSet, func() error { return assoc.InsertAll(1, keys) }},
-		{"/association/add", server.ShapeSet, func() error { return assoc.InsertAll(2, keys[:5]) }},
-		{"/association/remove", server.ShapeSet, func() error { return assoc.DeleteAll(1, keys[:3]) }},
-		{"/association/classify", server.ShapeKeys, func() error { _, err := assoc.Classify(keys); return err }},
-		{"/multiplicity/add", server.ShapeItems, func() error { return counter.AddAll(keys) }},
-		{"/multiplicity/add", server.ShapeItems, func() error { return counter.InsertCount(keys[0], 3) }},
-		{"/multiplicity/remove", server.ShapeItems, func() error { return counter.Delete(keys[0]) }},
-		{"/multiplicity/count", server.ShapeKeys, func() error { _, err := counter.Counts(keys); return err }},
+		{"/membership/add", wire.BodyKeys, func() error { return set.AddAll(keys) }},
+		{"/membership/contains", wire.BodyKeys, func() error { _, err := set.Check(keys); return err }},
+		{"/association/add", wire.BodySet, func() error { return assoc.InsertAll(1, keys) }},
+		{"/association/add", wire.BodySet, func() error { return assoc.InsertAll(2, keys[:5]) }},
+		{"/association/remove", wire.BodySet, func() error { return assoc.DeleteAll(1, keys[:3]) }},
+		{"/association/classify", wire.BodyKeys, func() error { _, err := assoc.Classify(keys); return err }},
+		{"/multiplicity/add", wire.BodyItems, func() error { return counter.AddAll(keys) }},
+		{"/multiplicity/add", wire.BodyItems, func() error { return counter.InsertCount(keys[0], 3) }},
+		{"/multiplicity/remove", wire.BodyItems, func() error { return counter.Delete(keys[0]) }},
+		{"/multiplicity/count", wire.BodyKeys, func() error { _, err := counter.Counts(keys); return err }},
 	} {
 		if err := st.run(); err != nil {
 			t.Fatalf("%s: %v", st.route, err)

@@ -8,24 +8,25 @@ import (
 	"testing"
 
 	"shbf/internal/core"
+	"shbf/internal/wire"
 )
 
 // refDecode decodes body the way the data-plane handlers did before
 // the canonical-subset parser: encoding/json into shape's struct, with
 // unknown fields and trailing data refused.
-func refDecode(shape bodyShape, body []byte) (keys []string, counts []int, enc string, set int, err error) {
+func refDecode(shape wire.BodyShape, body []byte) (keys []string, counts []int, enc string, set int, err error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	switch shape {
-	case shapeKeys:
+	case wire.BodyKeys:
 		var req keyBatch
 		err = dec.Decode(&req)
 		keys, enc = req.Keys, req.Encoding
-	case shapeSet:
+	case wire.BodySet:
 		var req setBatch
 		err = dec.Decode(&req)
 		keys, enc, set = req.Keys, req.Encoding, req.Set
-	case shapeItems:
+	case wire.BodyItems:
 		var req countedBatch
 		err = dec.Decode(&req)
 		enc = req.Encoding
@@ -66,7 +67,7 @@ func FuzzHTTPBody(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, shapeByte byte, body []byte) {
-		shape := bodyShape(shapeByte % 3)
+		shape := wire.BodyShape(shapeByte % 3)
 		b := httpBody{in: body}
 		if !b.parse(shape) {
 			return
@@ -83,7 +84,7 @@ func FuzzHTTPBody(f *testing.F) {
 				t.Fatalf("shape %d, %q: key %d is %q, encoding/json decodes %q", shape, body, i, b.wire[i], keys[i])
 			}
 		}
-		if shape == shapeItems {
+		if shape == wire.BodyItems {
 			for i := range counts {
 				if b.itemCounts[i] != counts[i] {
 					t.Fatalf("%q: item %d count %d, encoding/json decodes %d", body, i, b.itemCounts[i], counts[i])
@@ -98,7 +99,7 @@ func FuzzHTTPBody(f *testing.F) {
 }
 
 // refRegion is the classify result as the handlers rendered it through
-// encoding/json, the reference appendRegions is held to.
+// encoding/json, the reference wire.AppendRegions is held to.
 type refRegion struct {
 	Region     string   `json:"region"`
 	Candidates []string `json:"candidates"`
@@ -153,11 +154,11 @@ func TestAnswerEncodersMatchEncodingJSON(t *testing.T) {
 		for r := core.Region(0); r < 8; r++ {
 			all = append(all, r)
 			allRef = append(allRef, refRegionOf(r, withMask))
-			check(r.String(), string(appendRegions(nil, []core.Region{r}, withMask)),
+			check(r.String(), string(wire.AppendRegions(nil, []core.Region{r}, withMask)),
 				refEncode(t, map[string]any{"results": []refRegion{refRegionOf(r, withMask)}}))
 		}
-		check("all regions", string(appendRegions(nil, all, withMask)), refEncode(t, map[string]any{"results": allRef}))
-		check("no regions", string(appendRegions(nil, nil, withMask)), refEncode(t, map[string]any{"results": []refRegion{}}))
+		check("all regions", string(wire.AppendRegions(nil, all, withMask)), refEncode(t, map[string]any{"results": allRef}))
+		check("no regions", string(wire.AppendRegions(nil, nil, withMask)), refEncode(t, map[string]any{"results": []refRegion{}}))
 	}
 	rng := rand.New(rand.NewPCG(1, 2))
 	for n := 0; n < 64; n++ {
@@ -166,12 +167,12 @@ func TestAnswerEncodersMatchEncodingJSON(t *testing.T) {
 			bools[i] = rng.IntN(2) == 1
 			counts[i] = rng.IntN(1 << (1 + rng.IntN(40)))
 		}
-		check("bools", string(appendBools(nil, bools)), refEncode(t, map[string]any{"results": bools}))
-		check("counts", string(appendCounts(nil, counts)), refEncode(t, map[string]any{"counts": counts}))
+		check("bools", string(wire.AppendBools(nil, bools)), refEncode(t, map[string]any{"results": bools}))
+		check("counts", string(wire.AppendCounts(nil, counts)), refEncode(t, map[string]any{"counts": counts}))
 	}
 	for _, n := range []int{0, 1, 16, 4096, 1 << 40} {
 		for _, name := range []string{"added", "applied"} {
-			check(name, string(appendTally(nil, name, n)), refEncode(t, map[string]int{name: n}))
+			check(name, string(wire.AppendTally(nil, name, n)), refEncode(t, map[string]int{name: n}))
 		}
 	}
 }

@@ -69,6 +69,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -330,56 +331,41 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 
-	// Every route with a wire op is a serveOp codec over dispatch,
-	// counted under the op's name like its ShBP frames. The tenant
-	// routes serve under /v2/namespaces/{ns}; the v1 ones bind the same
-	// handler to the default namespace at the same path under /v1,
+	// The routes with a wire op come from the table the HTTP client
+	// reads too (wire.Routes). Each is a serveOp codec over dispatch,
+	// counted under the op's name like its ShBP frames, except the
+	// liveness probe and the scrape. A v1 route binds the same handler
+	// to the default namespace at the tenant path under /v1,
 	// byte-compatible with the pre-namespace daemon.
-	for _, rt := range []struct {
-		method, path string
-		op           byte
-		shape        bodyShape
-		v1           bool
-	}{
-		{"POST", "/membership/add", wire.OpMembershipAdd, shapeKeys, true},
-		{"POST", "/membership/contains", wire.OpMembershipContains, shapeKeys, true},
-		{"POST", "/association/add", wire.OpAssociationAdd, shapeSet, true},
-		{"POST", "/association/remove", wire.OpAssociationRemove, shapeSet, true},
-		{"POST", "/association/classify", wire.OpAssociationQuery, shapeKeys, true},
-		{"POST", "/multiplicity/add", wire.OpMultiplicityAdd, shapeItems, true},
-		{"POST", "/multiplicity/remove", wire.OpMultiplicityRemove, shapeItems, true},
-		{"POST", "/multiplicity/count", wire.OpMultiplicityCount, shapeKeys, true},
-		{"POST", "/rotate", wire.OpRotate, shapeNone, true},
-		{"GET", "/stats", wire.OpStats, shapeNone, true},
-		{"GET", "/membership/envelope", wire.OpMembershipDump, shapeNone, false},
-		{"POST", "/merge", wire.OpMembershipMerge, shapeRaw, false},
-		{"GET", "/multiplicity/envelope", wire.OpMultiplicityDump, shapeNone, false},
-		{"POST", "/multiplicity/merge", wire.OpMultiplicityMerge, shapeRaw, false},
-		{"POST", "/freeze", wire.OpFreeze, shapeNone, false},
-	} {
-		h := s.serveOp(rt.op, rt.shape)
-		mux.HandleFunc(rt.method+" /v2/namespaces/{ns}"+rt.path, h)
-		if rt.v1 {
-			mux.HandleFunc(rt.method+" /v1"+rt.path, h)
+	for _, rt := range wire.Routes() {
+		var h http.Handler
+		switch rt.Op {
+		case wire.OpPing:
+			h = s.instrumentHTTP("healthz", func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				fmt.Fprintln(w, `{"status":"ok"}`)
+			})
+		case wire.OpMetrics:
+			// The scrape route itself is deliberately uninstrumented:
+			// scraping over HTTP and over ShBP OpMetrics must render
+			// identical bytes.
+			if s.met == nil {
+				continue
+			}
+			h = s.met
+		default:
+			h = s.serveOp(rt.Op, rt.Body)
+		}
+		mux.Handle(rt.Method+" "+rt.Path, h)
+		if rt.V1 {
+			_, path, _ := strings.Cut(rt.Path, "{ns}")
+			mux.Handle(rt.Method+" /v1"+path, h)
 		}
 	}
-	mux.HandleFunc("POST /v2/namespaces", s.serveOp(wire.OpNamespaceCreate, shapeRaw))
-	mux.HandleFunc("GET /v2/namespaces", s.serveOp(wire.OpNamespaceList, shapeNone))
-	mux.HandleFunc("DELETE /v2/namespaces/{ns}", s.serveOp(wire.OpNamespaceDelete, shapeNone))
-	mux.HandleFunc("GET /v2/cluster", s.serveOp(wire.OpClusterMap, shapeNone))
 
 	snapshot := s.instrumentHTTP("snapshot", s.handleSnapshot)
 	mux.HandleFunc("POST /v1/snapshot", snapshot)
 	mux.HandleFunc("POST /v2/snapshot", snapshot)
 	mux.HandleFunc("GET /v2/stats", s.instrumentHTTP("daemon-stats", s.handleDaemonStats))
-	mux.HandleFunc("GET /healthz", s.instrumentHTTP("healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, `{"status":"ok"}`)
-	}))
-	// The scrape route itself is deliberately uninstrumented: scraping
-	// over HTTP and over ShBP OpMetrics must render identical bytes.
-	if s.met != nil {
-		mux.Handle("GET /metrics", s.met)
-	}
 	return mux
 }

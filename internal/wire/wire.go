@@ -47,6 +47,15 @@
 //
 // Trailing bytes after a decoded message are an error; a frame is one
 // message exactly.
+//
+// # The HTTP API
+//
+// The same ops travel over the daemon's HTTP/JSON API, and the facts
+// both of its ends share live here too: the status table
+// ([HTTPStatus], [StatusOfHTTP]), the route table ([Routes],
+// [RouteOf]: each op's method, path, request body and answer), and the
+// encoders of the data-plane success answers ([AppendTally] and its
+// siblings, http.go).
 package wire
 
 import (

@@ -316,3 +316,33 @@ func TestHTTPStatusTableRoundTrips(t *testing.T) {
 			HTTPStatus(StatusOK), HTTPStatus(StatusOverloaded), HTTPStatus(200))
 	}
 }
+
+// TestRoutesCoverEveryOp: the route table has exactly one route for
+// every defined op, so both ends of the HTTP API can serve and send
+// each one, and no two routes share a method and path.
+func TestRoutesCoverEveryOp(t *testing.T) {
+	seen := map[byte]bool{}
+	patterns := map[string]bool{}
+	for _, rt := range Routes() {
+		if !ValidOp(rt.Op) || seen[rt.Op] {
+			t.Errorf("%s: undefined or repeated op", OpName(rt.Op))
+		}
+		seen[rt.Op] = true
+		if p := rt.Method + " " + rt.Path; patterns[p] {
+			t.Errorf("%s: pattern %q repeated", OpName(rt.Op), p)
+		} else {
+			patterns[p] = true
+		}
+		if got, ok := RouteOf(rt.Op); !ok || got != rt {
+			t.Errorf("RouteOf(%s) = %+v, %v", OpName(rt.Op), got, ok)
+		}
+	}
+	for op := range opNames {
+		if !seen[op] {
+			t.Errorf("%s has no route", OpName(op))
+		}
+	}
+	if _, ok := RouteOf(0); ok {
+		t.Error("RouteOf(0) found a route for an undefined op")
+	}
+}
