@@ -394,13 +394,13 @@ func (ns *ClusterNamespace) AddAll(keys [][]byte) error {
 	})
 }
 
-// Check answers membership for a batch: keys split by owner range,
-// each sub-batch queried on its primary node in parallel, answers
-// reassembled in original key order.
-func (ns *ClusterNamespace) Check(keys [][]byte) ([]bool, error) {
-	out := make([]bool, len(keys))
+// gather answers a read batch: keys split by owner range, each
+// sub-batch answered by read on its primary node (failing over to its
+// replicas) in parallel, answers reassembled in original key order.
+func gather[R any](ns *ClusterNamespace, keys [][]byte, read func(*Namespace, [][]byte) ([]R, error)) ([]R, error) {
+	out := make([]R, len(keys))
 	err := ns.cl.fan(ns.cl.split(keys, nil, false), func(c *Client, b *nodeBatch) error {
-		res, err := c.Namespace(ns.name).Set().Check(b.keys)
+		res, err := read(c.Namespace(ns.name), b.keys)
 		if err != nil {
 			return err
 		}
@@ -413,6 +413,13 @@ func (ns *ClusterNamespace) Check(keys [][]byte) ([]bool, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// Check answers membership for a batch: keys split by owner range,
+// each sub-batch queried on its primary node in parallel, answers
+// reassembled in original key order.
+func (ns *ClusterNamespace) Check(keys [][]byte) ([]bool, error) {
+	return gather(ns, keys, func(n *Namespace, keys [][]byte) ([]bool, error) { return n.Set().Check(keys) })
 }
 
 // ContainsAll is [ClusterNamespace.Check] in the library's dst shape
@@ -459,21 +466,7 @@ func (ns *ClusterNamespace) CounterAdd(keys [][]byte, counts []int) error {
 // Counts answers multiplicities for a batch from each key's primary
 // node, reassembled in original key order.
 func (ns *ClusterNamespace) Counts(keys [][]byte) ([]int, error) {
-	out := make([]int, len(keys))
-	err := ns.cl.fan(ns.cl.split(keys, nil, false), func(c *Client, b *nodeBatch) error {
-		res, err := c.Namespace(ns.name).Counter().Counts(b.keys)
-		if err != nil {
-			return err
-		}
-		for j, i := range b.idx {
-			out[i] = res[j]
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return gather(ns, keys, func(n *Namespace, keys [][]byte) ([]int, error) { return n.Counter().Counts(keys) })
 }
 
 // CountAll is [ClusterNamespace.Counts] in the library's dst shape
@@ -490,21 +483,7 @@ func (ns *ClusterNamespace) CountAll(dst []int, keys [][]byte) []int {
 // Classify answers association regions for a batch from each key's
 // primary node, reassembled in original key order.
 func (ns *ClusterNamespace) Classify(keys [][]byte) ([]shbf.Region, error) {
-	out := make([]shbf.Region, len(keys))
-	err := ns.cl.fan(ns.cl.split(keys, nil, false), func(c *Client, b *nodeBatch) error {
-		res, err := c.Namespace(ns.name).Associator().Classify(b.keys)
-		if err != nil {
-			return err
-		}
-		for j, i := range b.idx {
-			out[i] = res[j]
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return gather(ns, keys, func(n *Namespace, keys [][]byte) ([]shbf.Region, error) { return n.Associator().Classify(keys) })
 }
 
 // QueryAll is [ClusterNamespace.Classify] in the library's dst shape

@@ -213,7 +213,7 @@ func (s *Set) Check(keys [][]byte) ([]bool, error) {
 	if len(resp.Bools) != len(keys) {
 		return nil, fmt.Errorf("client: %d answers for %d keys", len(resp.Bools), len(keys))
 	}
-	return append([]bool(nil), resp.Bools...), nil
+	return resp.Bools, nil
 }
 
 // Add inserts one key, recording any error ([Set.Err]).
@@ -303,7 +303,7 @@ func (c *Counter) Counts(keys [][]byte) ([]int, error) {
 	if len(resp.Counts) != len(keys) {
 		return nil, fmt.Errorf("client: %d answers for %d keys", len(resp.Counts), len(keys))
 	}
-	return append([]int(nil), resp.Counts...), nil
+	return resp.Counts, nil
 }
 
 // Count answers one key's multiplicity (0 on transport failure,

@@ -3,7 +3,7 @@ package shbf
 import "shbf/internal/frozen"
 
 // Frozen is an open read-only frozen filter: a ShBZ container whose
-// query path runs directly over the container bytes with zero
+// query path reads the container's bit sections with zero
 // deserialization and zero allocation, so the same bytes serve from an
 // mmap region, a slice of a larger file, or an in-memory snapshot.
 // Open one with [OpenFrozen]; build the bytes with [Freeze]. A Frozen
@@ -50,8 +50,8 @@ var _ FrozenSet = (*Frozen)(nil)
 //
 // The container embeds the full probe geometry; [OpenFrozen] needs no
 // out-of-band knowledge, and a frozen filter answers bit-identically
-// to its (non-windowed) live source because both run the same digest
-// pipeline over the same bit layout.
+// to its (non-windowed) live source because it runs the live filter's
+// own probe code, through a read-only view, over the same bit layout.
 func Freeze(f Filter) ([]byte, error) { return frozen.Append(nil, f) }
 
 // AppendFreeze is [Freeze] appending to dst — for staging several
@@ -60,10 +60,12 @@ func AppendFreeze(dst []byte, f Filter) ([]byte, error) { return frozen.Append(d
 
 // OpenFrozen opens a ShBZ container at the start of data (trailing
 // bytes are ignored, so a container embedded at an offset into a
-// larger mapped file opens in place). The returned filter aliases
-// data — which must stay immutable and mapped — and the open cost is
-// independent of the bit array's size: a 64-byte header parse plus one
-// small hash family per shard.
+// larger mapped file opens in place). On a little-endian host, when
+// data starts 8-byte aligned (mmap regions and Go allocations do), the
+// returned filter reads data in place — it must then stay immutable
+// and mapped — and the open cost is independent of the bit array's
+// size: a 64-byte header parse plus one read-only view per shard. Any
+// other input is copied once, at open.
 func OpenFrozen(data []byte) (*Frozen, error) { return frozen.Open(data) }
 
 // OpenFrozenStack opens a stack file ([FrozenStackBuilder],

@@ -106,6 +106,32 @@ func TestGateFrozenVsLive(t *testing.T) {
 	}
 }
 
+// TestGateFrozenVsLiveCold: with both arrays cold, frozen ContainsAll
+// keeps ≥ 0.9× the live filter's keys/s at 4096-key batches. Each round
+// runs four sides in rotation: an envelope decode, which allocates
+// 3.4 MB and so evicts both arrays, the live and the frozen
+// ContainsAll, and an OpenFrozen. This is how a storage engine probes
+// the filters of many runs and levels, one cold filter after another.
+func TestGateFrozenVsLiveCold(t *testing.T) {
+	live, blob, fz, probes := frozenGateFilter(t)
+	env, err := shbf.AppendDump(nil, live.(shbf.Filter))
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := probes[:frozenGateBatch]
+	liveDst := make([]bool, 0, frozenGateBatch)
+	frozenDst := make([]bool, 0, frozenGateBatch)
+	got := medianRatio(t, 300, func(ns []float64) float64 { return ns[1] / ns[2] },
+		func() error { _, _, err := shbf.Decode(env); return err },
+		func() error { liveDst = live.ContainsAll(liveDst[:0], query); return nil },
+		func() error { frozenDst = fz.ContainsAll(frozenDst[:0], query); return nil },
+		func() error { _, err := shbf.OpenFrozen(blob); return err })
+	t.Logf("cold frozen ÷ live ContainsAll@%d keys/s: %.3f× (cpus=%d)", frozenGateBatch, got, runtime.NumCPU())
+	if got < 0.9 {
+		t.Errorf("cold frozen ContainsAll is %.3f× live keys/s, below the 0.9× gate", got)
+	}
+}
+
 // TestGateFrozenOpen: opening the container beats decoding the same
 // filter from its envelope by ≥ 100×; the envelope materializes every
 // word, the container parses a header.

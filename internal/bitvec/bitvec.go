@@ -45,6 +45,19 @@ func New(n int) *Vector {
 	}
 }
 
+// Borrow returns an n-bit vector over words, which it does not copy:
+// the first (n+63)/64+1 words are its data words and guard word, laid
+// out as New lays them out, and any words after those are left alone.
+// The vector has no counter. Its writes land in words, so a caller
+// lending read-only memory (a mapped file) must only read through it.
+func Borrow(words []uint64, n int) (Vector, error) {
+	need := (n+63)/64 + 1
+	if n <= 0 || len(words) < need {
+		return Vector{}, fmt.Errorf("bitvec: %d words cannot hold %d bits and a guard word", len(words), n)
+	}
+	return Vector{words: words[:need:need], n: n}, nil
+}
+
 // SetCounter attaches an access counter; nil detaches. Read and write
 // paths charge it per the Section 3.1 model.
 func (v *Vector) SetCounter(c *memmodel.Counter) { v.acc = c }

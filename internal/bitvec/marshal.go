@@ -3,6 +3,7 @@ package bitvec
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 )
 
 // This file implements the binary serialization of bit vectors used by
@@ -48,4 +49,26 @@ func DecodeVector(buf []byte) (*Vector, []byte, error) {
 		}
 	}
 	return v, buf[dataWords*8:], nil
+}
+
+// littleEndian reports whether the host stores a word's bytes least
+// significant first, as the serialized forms do.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// WordsOf returns b as little-endian 64-bit words, the layout of Words
+// in the serialized forms (a frozen container's sections); a trailing
+// partial word is dropped. On a little-endian host, when b is 8-byte
+// aligned, the words alias b and nothing is copied, so b must stay
+// unchanged while they are in use. Otherwise they are a copy, decoded
+// once.
+func WordsOf(b []byte) []uint64 {
+	n := len(b) / 8
+	if p := unsafe.Pointer(unsafe.SliceData(b)); littleEndian && n > 0 && uintptr(p)%8 == 0 {
+		return unsafe.Slice((*uint64)(p), n)
+	}
+	w := make([]uint64, n)
+	for i := range w {
+		w[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	return w
 }

@@ -1,9 +1,11 @@
 package bitvec
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestVectorRoundTrip(t *testing.T) {
@@ -82,5 +84,64 @@ func TestDecodeVectorRejectsCorrupt(t *testing.T) {
 	bad[len(bad)-1] |= 0x80 // bit 191 of a 130-bit vector
 	if _, _, err := DecodeVector(bad); err == nil {
 		t.Error("accepted tail garbage beyond logical length")
+	}
+}
+
+// TestWordsOf checks both paths from bytes to words: on a
+// little-endian host, 8-byte-aligned bytes are viewed in place, and
+// bytes at an odd offset are decoded into a copy. Either way the words
+// are the bytes' little-endian reading, a trailing partial word
+// dropped.
+func TestWordsOf(t *testing.T) {
+	buf := make([]byte, 8*10)
+	rand.New(rand.NewSource(1)).Read(buf)
+	aligned := int(-uintptr(unsafe.Pointer(&buf[0])) % 8)
+	for _, off := range []int{aligned, aligned + 1} {
+		b := buf[off : off+8*8+3]
+		w := WordsOf(b)
+		if len(w) != 8 {
+			t.Fatalf("offset %d: %d words from %d bytes, want 8", off, len(w), len(b))
+		}
+		for i := range w {
+			if want := binary.LittleEndian.Uint64(b[8*i:]); w[i] != want {
+				t.Fatalf("offset %d: word %d = %#x, want %#x", off, i, w[i], want)
+			}
+		}
+		aliased := unsafe.Pointer(&w[0]) == unsafe.Pointer(&b[0])
+		if want := littleEndian && off == aligned; aliased != want {
+			t.Errorf("offset %d: words alias the bytes: %v, want %v", off, aliased, want)
+		}
+	}
+	if w := WordsOf(nil); len(w) != 0 {
+		t.Fatalf("WordsOf(nil) has %d words", len(w))
+	}
+}
+
+// TestBorrow checks that a vector over borrowed words reads exactly as
+// the vector that owns them, and that words too short for the bits and
+// the guard word are refused.
+func TestBorrow(t *testing.T) {
+	v := New(1000)
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 300; i++ {
+		v.Set(rng.Intn(1000))
+	}
+	b, err := Borrow(append(v.Words(), 0, 0), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Len() != v.Len() || b.OnesCount() != v.OnesCount() || b.Counter() != nil {
+		t.Fatalf("borrowed vector reports len %d, %d ones; owner %d, %d", b.Len(), b.OnesCount(), v.Len(), v.OnesCount())
+	}
+	for pos := 0; pos+57 <= 1000; pos++ {
+		if got, want := b.WindowUncounted(pos, 1<<57-1), v.WindowUncounted(pos, 1<<57-1); got != want {
+			t.Fatalf("window at %d: borrowed %#x, owner %#x", pos, got, want)
+		}
+	}
+	if _, err := Borrow(v.Words()[:len(v.Words())-1], 1000); err == nil {
+		t.Fatal("Borrow accepted words without room for the guard word")
+	}
+	if _, err := Borrow(v.Words(), 0); err == nil {
+		t.Fatal("Borrow accepted a 0-bit vector")
 	}
 }

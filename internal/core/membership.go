@@ -55,28 +55,43 @@ func NewMembership(m, k int, opts ...Option) (*Membership, error) {
 // newMembership builds from a resolved config (shared with the
 // counting wrapper, which validates options against its own kind).
 func newMembership(m, k int, cfg config) (*Membership, error) {
+	if err := checkMembership(m, k, cfg.maxOffset); err != nil {
+		return nil, err
+	}
+	f := new(Membership)
+	f.init(bitvec.New(m+cfg.maxOffset-1), m, k, cfg.maxOffset, cfg.seed)
+	f.bits.SetCounter(cfg.counter)
+	return f, nil
+}
+
+// checkMembership validates ShBF_M's geometry.
+func checkMembership(m, k, wbar int) error {
 	if m <= 0 {
-		return nil, fmt.Errorf("core: m = %d must be positive", m)
+		return fmt.Errorf("core: m = %d must be positive", m)
 	}
 	if k < 2 || k%2 != 0 {
-		return nil, fmt.Errorf("core: k = %d must be even and ≥ 2", k)
+		return fmt.Errorf("core: k = %d must be even and ≥ 2", k)
 	}
-	if cfg.maxOffset < 2 || cfg.maxOffset > 64 {
-		return nil, fmt.Errorf("core: max offset w̄ = %d out of range [2,64]", cfg.maxOffset)
+	if wbar < 2 || wbar > 64 {
+		return fmt.Errorf("core: max offset w̄ = %d out of range [2,64]", wbar)
 	}
-	f := &Membership{
-		bits:    bitvec.New(m + cfg.maxOffset - 1),
+	return nil
+}
+
+// init makes f an empty ShBF_M of checked geometry over bits, an
+// (m+w̄−1)-bit array.
+func (f *Membership) init(bits *bitvec.Vector, m, k, wbar int, seed uint64) {
+	*f = Membership{
+		bits:    bits,
 		m:       m,
 		k:       k,
 		half:    k / 2,
-		wbar:    cfg.maxOffset,
-		offMod:  cfg.maxOffset - 1,
-		winMask: ^uint64(0) >> (64 - uint(cfg.maxOffset)),
-		fam:     hashing.NewFamily(k/2+1, cfg.seed),
-		seed:    cfg.seed,
+		wbar:    wbar,
+		offMod:  wbar - 1,
+		winMask: ^uint64(0) >> (64 - uint(wbar)),
+		fam:     hashing.NewFamily(k/2+1, seed),
+		seed:    seed,
 	}
-	f.bits.SetCounter(cfg.counter)
-	return f, nil
 }
 
 // M returns the base array size in bits (excluding offset slack).

@@ -1,11 +1,13 @@
 // Package frozen implements the read-only ShBZ container: any
 // membership-family filter compacted into one immutable byte block
-// whose query path runs directly over the bytes — zero deserialization
-// at open, zero allocation per probe. The same bytes work from an mmap
-// region, a slice of a larger file (SSTable-style embedding), or an
-// in-memory snapshot, which is where production Bloom filters live:
-// built once per immutable storage unit, probed billions of times,
-// never written.
+// whose query path runs over the bytes with core's own ShBF_M probe,
+// through a read-only core.MembershipView per shard. Open parses the
+// header and, on a little-endian host, views 8-byte-aligned sections
+// in place (zero-copy); any other input is copied once at open. A probe
+// allocates nothing. The same bytes work from an mmap region, a slice
+// of a larger file (SSTable-style embedding), or an in-memory snapshot,
+// which is where production Bloom filters live: built once per
+// immutable storage unit, probed billions of times, never written.
 //
 // # ShBZ container layout
 //
@@ -46,7 +48,9 @@ package frozen
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
+	"shbf/internal/bitvec"
 	"shbf/internal/core"
 	"shbf/internal/hashing"
 	"shbf/internal/sharded"
@@ -61,7 +65,7 @@ const (
 	// maxShards mirrors the sharded package's construction bound.
 	maxShards = 1 << 20
 	// maxK bounds k against implausible headers (live filters use
-	// k ≤ ~32; the family allocation is k/2+1 words).
+	// k ≤ ~32; each view's hash family is k/2+1 words).
 	maxK = 1 << 16
 	// maxSectionWords bounds one shard's section at 2^31 words (16 GiB)
 	// so size arithmetic stays far from int overflow even on inputs
@@ -72,24 +76,21 @@ const (
 // magic identifies a ShBZ container.
 var magic = [4]byte{'S', 'h', 'B', 'Z'}
 
-// Filter is an open frozen filter: a view over ShBZ bytes plus the
-// rebuilt hash families — the only open-time allocation. The query
-// path reads the bit sections in place and allocates nothing, so one
-// Filter may serve any number of concurrent readers.
+// Filter is an open frozen filter: the container's bytes and one
+// read-only core.MembershipView per shard, the only open-time
+// allocations besides the handle. Probes read the sections through the
+// views and allocate nothing, so one Filter may serve any number of
+// concurrent readers.
 type Filter struct {
-	data []byte // the whole container (aliases the caller's bytes)
-	secs []byte // section area, data[headerSize:]
-
-	srcKind      core.Kind
-	shards       int
-	mask         uint64 // shards−1, the digest routing mask
-	k, half      int
-	m            int
-	wbar         int
-	seed         uint64
-	n            int
-	sectionBytes int
-	fams         []*hashing.Family // one per shard
+	data    []byte // the whole container (aliases the caller's bytes)
+	srcKind core.Kind
+	mask    uint64 // shards−1, the digest routing mask
+	k       int
+	m       int
+	wbar    int
+	seed    uint64
+	n       int
+	views   []*core.MembershipView // one per shard
 }
 
 // sectionWords returns the per-shard section size in 64-bit words:
@@ -103,93 +104,49 @@ func sectionWords(m, wbar int) int {
 // Append encodes f as a ShBZ container appended to dst. Supported
 // sources are the membership family: *core.Membership,
 // *core.CountingMembership (its query-side bit array),
-// *sharded.Filter, *window.Membership and *sharded.Window (rings
-// collapse by union — see the package comment). Sharded sources are
-// read one shard lock at a time, so the container is per-shard
-// consistent; pause writers for a global point-in-time cut.
+// *sharded.Filter, *window.Membership and *sharded.Window. One walk
+// visits every generation of every shard, and each section is the OR
+// of its shard's generations (rings collapse by union — see the
+// package comment). Sharded sources are read one shard lock at a time,
+// so the container is per-shard consistent; pause writers for a global
+// point-in-time cut.
 func Append(dst []byte, f any) ([]byte, error) {
+	var each func(fn func(i int, g *core.Membership))
 	switch v := f.(type) {
 	case *core.Membership:
-		spec := v.Spec()
-		return appendContainer(dst, core.KindMembership, 1, spec.M, spec.K, spec.MaxOffset,
-			spec.Seed, v.N(), func(i int, acc []uint64) {
-				copy(acc, v.BitWords())
-			})
-
+		each = func(fn func(int, *core.Membership)) { fn(0, v) }
 	case *core.CountingMembership:
-		inner := v.Filter()
-		spec := inner.Spec()
-		return appendContainer(dst, core.KindCountingMembership, 1, spec.M, spec.K, spec.MaxOffset,
-			spec.Seed, v.N(), func(i int, acc []uint64) {
-				copy(acc, inner.BitWords())
-			})
-
+		each = func(fn func(int, *core.Membership)) { fn(0, v.Filter()) }
 	case *sharded.Filter:
-		spec := v.Spec() // M is the total; Seed the recovered base
-		perShard := spec.M / spec.Shards
-		// One walk snapshots every shard under its lock; the container
-		// is then laid out from the copies.
-		snaps := make([][]uint64, spec.Shards)
-		n := 0
-		v.ForEachShard(func(i int, m *core.Membership) {
-			snaps[i] = append([]uint64(nil), m.BitWords()...)
-			n += m.N()
-		})
-		return appendContainer(dst, core.KindShardedMembership, spec.Shards, perShard, spec.K,
-			spec.MaxOffset, spec.Seed, n, func(i int, acc []uint64) {
-				copy(acc, snaps[i])
-			})
-
+		each = v.ForEachShard
 	case *window.Membership:
-		spec := v.Spec()
-		return appendContainer(dst, core.KindWindowMembership, 1, spec.M, spec.K, spec.MaxOffset,
-			spec.Seed, v.N(), func(i int, acc []uint64) {
-				v.ForEachGeneration(func(g *core.Membership) {
-					orWords(acc, g.BitWords())
-				})
-			})
-
+		each = func(fn func(int, *core.Membership)) {
+			v.ForEachGeneration(func(g *core.Membership) { fn(0, g) })
+		}
 	case *sharded.Window:
-		spec := v.Spec()
-		perShard := spec.M / spec.Shards
-		// Snapshot each shard's ring as the union of its generations,
-		// one shard lock per shard.
-		snaps := make([][]uint64, spec.Shards)
-		n := 0
-		v.ForEachShard(func(i int, w *window.Membership) {
-			w.ForEachGeneration(func(g *core.Membership) {
-				if snaps[i] == nil {
-					snaps[i] = make([]uint64, len(g.BitWords()))
-				}
-				orWords(snaps[i], g.BitWords())
-				n += g.N()
+		each = func(fn func(int, *core.Membership)) {
+			v.ForEachShard(func(i int, w *window.Membership) {
+				w.ForEachGeneration(func(g *core.Membership) { fn(i, g) })
 			})
-		})
-		return appendContainer(dst, core.KindWindowShardedMembership, spec.Shards, perShard, spec.K,
-			spec.MaxOffset, spec.Seed, n, func(i int, acc []uint64) {
-				copy(acc, snaps[i])
-			})
+		}
+	default:
+		if k, ok := f.(interface{ Kind() core.Kind }); ok {
+			return nil, fmt.Errorf("frozen: cannot freeze %s filters (membership family only)", k.Kind())
+		}
+		return nil, fmt.Errorf("frozen: cannot freeze %T (membership family only)", f)
 	}
-	if k, ok := f.(interface{ Kind() core.Kind }); ok {
-		return nil, fmt.Errorf("frozen: cannot freeze %s filters (membership family only)", k.Kind())
-	}
-	return nil, fmt.Errorf("frozen: cannot freeze %T (membership family only)", f)
+	return appendContainer(dst, f.(interface{ Spec() core.Spec }).Spec(), each)
 }
 
-// orWords ORs src into acc (src never exceeds the section's data
-// words by construction).
-func orWords(acc, src []uint64) {
-	for i, w := range src {
-		acc[i] |= w
-	}
-}
-
-// appendContainer lays out the header and sections, calling fill once
-// per shard with the zeroed section to populate (as words; the data
-// words of shard i's live bit array, guard included).
-func appendContainer(dst []byte, kind core.Kind, shards, m, k, wbar int, seed uint64, n int,
-	fill func(i int, acc []uint64)) ([]byte, error) {
-	if shards < 1 || shards > maxShards || shards&(shards-1) != 0 {
+// appendContainer lays out the header and sections of the source whose
+// spec is spec: M is the total over Shards shards (0 for an unsharded
+// source), Seed the filter's or the base seed. each walks the source's
+// generations, and each generation's bit array, guard word included,
+// is ORed into its shard's zeroed section.
+func appendContainer(dst []byte, spec core.Spec, each func(fn func(i int, g *core.Membership))) ([]byte, error) {
+	shards := max(spec.Shards, 1)
+	m, k, wbar := spec.M/shards, spec.K, spec.MaxOffset
+	if shards > maxShards || shards&(shards-1) != 0 {
 		return nil, fmt.Errorf("frozen: shard count %d is not a power of two in [1,%d]", shards, maxShards)
 	}
 	if m <= 0 {
@@ -203,42 +160,44 @@ func appendContainer(dst []byte, kind core.Kind, shards, m, k, wbar int, seed ui
 	}
 	secWords := sectionWords(m, wbar)
 	total := headerSize + shards*secWords*8
-
-	var h [headerSize]byte
-	copy(h[0:4], magic[:])
-	h[4] = version
-	h[5] = byte(kind)
-	binary.LittleEndian.PutUint32(h[8:12], uint32(shards))
-	binary.LittleEndian.PutUint32(h[12:16], uint32(k))
-	binary.LittleEndian.PutUint64(h[16:24], uint64(m))
-	binary.LittleEndian.PutUint32(h[24:28], uint32(wbar))
-	binary.LittleEndian.PutUint64(h[32:40], seed)
-	binary.LittleEndian.PutUint64(h[40:48], uint64(n))
-	binary.LittleEndian.PutUint64(h[48:56], uint64(secWords))
-	binary.LittleEndian.PutUint64(h[56:64], uint64(total))
-	dst = append(dst, h[:]...)
-
-	acc := make([]uint64, secWords)
-	var sec [8]byte
-	for i := 0; i < shards; i++ {
-		clear(acc)
-		fill(i, acc)
-		for _, w := range acc {
-			binary.LittleEndian.PutUint64(sec[:], w)
-			dst = append(dst, sec[:]...)
+	start := len(dst)
+	dst = slices.Grow(dst, total)[:start+total]
+	c := dst[start:]
+	clear(c)
+	n := 0
+	each(func(i int, g *core.Membership) {
+		sec := c[headerSize+i*secWords*8:]
+		for j, w := range g.BitWords() {
+			b := sec[8*j:]
+			binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)|w)
 		}
-	}
+		n += g.N()
+	})
+
+	copy(c[0:4], magic[:])
+	c[4] = version
+	c[5] = byte(spec.Kind)
+	binary.LittleEndian.PutUint32(c[8:12], uint32(shards))
+	binary.LittleEndian.PutUint32(c[12:16], uint32(k))
+	binary.LittleEndian.PutUint64(c[16:24], uint64(m))
+	binary.LittleEndian.PutUint32(c[24:28], uint32(wbar))
+	binary.LittleEndian.PutUint64(c[32:40], spec.Seed)
+	binary.LittleEndian.PutUint64(c[40:48], uint64(n))
+	binary.LittleEndian.PutUint64(c[48:56], uint64(secWords))
+	binary.LittleEndian.PutUint64(c[56:64], uint64(total))
 	return dst, nil
 }
 
 // Open parses a ShBZ container at the start of data and returns a
-// read-only filter over it. The bit sections are not copied — the
-// returned filter aliases data, which must stay immutable and mapped
-// for the filter's lifetime. Trailing bytes beyond the container's
+// read-only filter over it. Trailing bytes beyond the container's
 // recorded size are ignored, so a container can be opened at an offset
-// into a larger mapped file. The only allocations are the handle and
-// one small hash family per shard; cost is independent of the bit
-// array's size.
+// into a larger mapped file. On a little-endian host, when data starts
+// 8-byte aligned (sections sit at 64-byte offsets in the container, and
+// mmap regions and stack entries are aligned), the filter views the
+// bit sections in place: data must then stay immutable and mapped for
+// the filter's lifetime, and the open cost does not depend on the bit
+// array's size. Any other input is copied once, here. The other
+// allocations are the handle and one view per shard.
 func Open(data []byte) (*Filter, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("frozen: %d bytes is shorter than the %d-byte header", len(data), headerSize)
@@ -295,78 +254,55 @@ func Open(data []byte) (*Filter, error) {
 	}
 	data = data[:total]
 
+	words := bitvec.WordsOf(data[headerSize:])
 	f := &Filter{
-		data:         data,
-		secs:         data[headerSize:],
-		srcKind:      srcKind,
-		shards:       int(shards),
-		mask:         uint64(shards) - 1,
-		k:            int(k),
-		half:         int(k) / 2,
-		m:            int(m),
-		wbar:         int(wbar),
-		seed:         seed,
-		n:            int(n),
-		sectionBytes: int(secWords) * 8,
-		fams:         make([]*hashing.Family, shards),
+		data:    data,
+		srcKind: srcKind,
+		mask:    uint64(shards) - 1,
+		k:       int(k),
+		m:       int(m),
+		wbar:    int(wbar),
+		seed:    seed,
+		n:       int(n),
+		views:   make([]*core.MembershipView, shards),
 	}
-	for i := range f.fams {
+	for i := range f.views {
 		fseed := seed
-		if f.shards > 1 {
+		if shards > 1 {
 			fseed = sharded.ShardSeed(seed, i)
 		}
-		f.fams[i] = hashing.NewFamily(f.half+1, fseed)
+		sec := words[uint64(i)*secWords : uint64(i+1)*secWords]
+		v, err := core.NewMembershipView(f.m, f.k, f.wbar, fseed, sec)
+		if err != nil {
+			return nil, fmt.Errorf("frozen: shard %d: %w", i, err)
+		}
+		f.views[i] = v
 	}
 	return f, nil
 }
 
-// Contains reports whether e may be in the frozen set — the live
-// filter's probe (digest → route → k/2 pair windows, early exit)
-// reading the container bytes in place. Zero allocations; safe for
-// unlimited concurrent use.
+// Contains reports whether e may be in the frozen set: the live
+// filter's probe (digest → route → k/2 pair windows, early exit) over
+// the container's bits. Zero allocations; safe for unlimited
+// concurrent use.
 func (f *Filter) Contains(e []byte) bool {
 	return f.ContainsDigest(hashing.KeyDigest(e))
 }
 
 // ContainsDigest answers Contains for the element whose one-pass
-// digest is d. Kept in lockstep with core.Membership.ContainsDigest:
-// same digest, same routing lane, same per-probe mix and two-word
-// window read, so a frozen filter answers bit-identically to its live
-// source (windowed sources answer the union of their generations).
+// digest is d, routed to its shard's view.
 func (f *Filter) ContainsDigest(d hashing.Digest) bool {
-	si := int(d.Shard(f.mask))
-	fam := f.fams[si]
-	sec := f.secs[si*f.sectionBytes:]
-	// o(e) ∈ [1, w̄−1]; both pair bits land inside the w̄-bit window,
-	// so masking with pairMask alone replicates the live probe.
-	pairMask := uint64(1) | uint64(1)<<uint(hashing.Reduce(fam.FromDigest(f.half, d), f.wbar-1)+1)
-	m := f.m
-	for i, half := 0, f.half; i < half; i++ {
-		base := fam.ModFromDigest(i, d, m)
-		wi := (base >> 6) << 3
-		off := uint(base & 63)
-		win := binary.LittleEndian.Uint64(sec[wi:])>>off |
-			binary.LittleEndian.Uint64(sec[wi+8:])<<(64-off)
-		if win&pairMask != pairMask {
-			return false
-		}
-	}
-	return true
+	return f.views[d.Shard(f.mask)].ContainsDigest(d)
 }
 
 // ContainsAll answers membership for a whole batch, each key digested
-// once. Answers land in dst (resized to len(keys)) at the keys'
-// positions — the library's batch convention; steady-state batches
-// with a reused dst do not allocate.
+// once: the batch is grouped by shard as the sharded filters group it,
+// and each shard's group goes to core's round kernel. Answers land in
+// dst (resized to len(keys)) at the keys' positions — the library's
+// batch convention; steady-state batches with a reused dst do not
+// allocate.
 func (f *Filter) ContainsAll(dst []bool, keys [][]byte) []bool {
-	if cap(dst) < len(keys) {
-		dst = make([]bool, len(keys))
-	}
-	dst = dst[:len(keys)]
-	for i, e := range keys {
-		dst[i] = f.ContainsDigest(hashing.KeyDigest(e))
-	}
-	return dst
+	return sharded.ReadAll(f.views, dst, keys, (*core.MembershipView).ContainsGroup)
 }
 
 // Bytes returns the container's bytes (aliasing, not a copy) — what
@@ -381,7 +317,7 @@ func (f *Filter) SourceKind() core.Kind { return f.srcKind }
 
 // Shards returns the number of bit sections (the source's shard
 // count).
-func (f *Filter) Shards() int { return f.shards }
+func (f *Filter) Shards() int { return len(f.views) }
 
 // M returns the per-shard base array size in bits.
 func (f *Filter) M() int { return f.m }

@@ -1,7 +1,11 @@
 package frozen
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"sync"
 	"testing"
 
 	"shbf/internal/core"
@@ -235,15 +239,68 @@ func TestFreezeUnsupportedKind(t *testing.T) {
 	}
 }
 
-// TestFrozenZeroAlloc is the zero-allocation guard on the frozen query
-// path: Contains and ContainsAll (with a reused dst) must not allocate.
-func TestFrozenZeroAlloc(t *testing.T) {
-	_, keys := flowkeys.Keys(4096)
-	live, err := sharded.New(1<<18, 8, 4, core.WithSeed(3))
+// TestFrozenOpenUnaligned opens containers copied to an odd offset,
+// which Open copies once, as it copies every container on a big-endian
+// host. They must answer exactly as the aligned open and the live
+// source do, for scalar and batch probes.
+func TestFrozenOpenUnaligned(t *testing.T) {
+	members, probes := equivalenceKeys(1 << 14)
+	probes = probes[:1<<16]
+	one, err := core.NewMembership(1<<17, 8, core.WithSeed(17))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := live.AddAll(keys[:2048]); err != nil {
+	for _, k := range members {
+		one.Add(k)
+	}
+	many, err := sharded.New(1<<18, 8, 4, core.WithSeed(18))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := many.AddAll(members); err != nil {
+		t.Fatal(err)
+	}
+	for _, live := range []interface {
+		Contains([]byte) bool
+		ContainsAll([]bool, [][]byte) []bool
+	}{one, many} {
+		blob, err := Append(nil, live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aligned, err := Open(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unaligned, err := Open(append(make([]byte, 1, len(blob)+1), blob...)[1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := live.ContainsAll(nil, probes)
+		for name, fz := range map[string]*Filter{"aligned": aligned, "unaligned": unaligned} {
+			got := fz.ContainsAll(nil, probes)
+			for i, p := range probes {
+				if got[i] != want[i] || fz.Contains(p) != want[i] {
+					t.Fatalf("%d shards, %s open, probe %d: batch %v, scalar %v, live %v",
+						fz.Shards(), name, i, got[i], fz.Contains(p), want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestFrozenConcurrentReaders runs Contains and ContainsAll from
+// several goroutines on one Filter, each answer checked against the
+// live source. Under -race, checkptr also checks the conversion that
+// views the aligned sections in place.
+func TestFrozenConcurrentReaders(t *testing.T) {
+	members, probes := equivalenceKeys(1 << 14)
+	probes = probes[:1<<14]
+	live, err := sharded.New(1<<18, 8, 4, core.WithSeed(19))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.AddAll(members); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := Append(nil, live)
@@ -254,17 +311,31 @@ func TestFrozenZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := keys[1]
-	if allocs := testing.AllocsPerRun(100, func() {
-		fz.Contains(probe)
-	}); allocs != 0 {
-		t.Fatalf("frozen Contains allocates %.1f/op, want 0", allocs)
+	want := live.ContainsAll(nil, probes)
+	const readers, batch = 8, 4096
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var dst []bool
+			for r := 0; r < 8; r++ {
+				lo := (g*1024 + r*512) % (len(probes) - batch)
+				dst = fz.ContainsAll(dst[:0], probes[lo:lo+batch])
+				for i, got := range dst {
+					if got != want[lo+i] || fz.Contains(probes[lo+i]) != want[lo+i] {
+						errs <- fmt.Errorf("reader %d, probe %d: frozen %v, live %v", g, lo+i, got, want[lo+i])
+						return
+					}
+				}
+			}
+		}(g)
 	}
-	dst := make([]bool, 0, len(keys))
-	if allocs := testing.AllocsPerRun(100, func() {
-		dst = fz.ContainsAll(dst[:0], keys)
-	}); allocs != 0 {
-		t.Fatalf("frozen ContainsAll allocates %.1f/op, want 0", allocs)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
@@ -298,6 +369,98 @@ func TestFrozenGoldenBytes(t *testing.T) {
 	}
 	if !fz.Contains([]byte("alpha")) || !fz.Contains([]byte("beta")) {
 		t.Fatal("pinned golden container lost its members")
+	}
+}
+
+// TestFrozenAppendGolden pins the sha256 of Append's output for each
+// of the five sources: a rotated ring whose oldest generation was
+// recycled, a sharded window rotated three times, and a counting
+// filter with deletions among them. The hashes were recorded before
+// Append's five source cases became one walk. Each container is also
+// appended after a prefix, which must stay intact.
+func TestFrozenAppendGolden(t *testing.T) {
+	want := map[string]string{
+		"membership":                "73fe6a383178f13c72d1b04d94d414a9433fa8e105831414ee6c2ac71bc306c8",
+		"counting-membership":       "e34fca714c918f973fbbb1daee9423b2e6419552804a84ffb46ffe9d0dc23ed1",
+		"sharded-membership":        "245d8e5be76ca558043fe18a03a15dd6731ca5aae7399aca6a4d1d53cc7be314",
+		"window-membership":         "b8ff1f88e68963f5800fe6d575681cfb10494f57704f981617388e8bd0c75532",
+		"sharded-window-membership": "d8f6b8371f0e83beb3edf1886ab64d2dbe473fb03245f6303cd7fdf52c7b93e3",
+	}
+	for _, src := range goldenSources(t) {
+		blob, err := Append(nil, src.f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(blob)
+		if got := hex.EncodeToString(sum[:]); got != want[src.name] {
+			t.Errorf("%s: container sha256 %s, want %s", src.name, got, want[src.name])
+		}
+		prefixed, err := Append([]byte("prefix"), src.f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(prefixed[:6]) != "prefix" || !bytes.Equal(prefixed[6:], blob) {
+			t.Errorf("%s: appending after a prefix changed the prefix or the container", src.name)
+		}
+	}
+}
+
+// goldenSource is one named freezable source.
+type goldenSource struct {
+	name string
+	f    any
+}
+
+// goldenSources builds one deterministic source of each freezable
+// kind.
+func goldenSources(t *testing.T) []goldenSource {
+	t.Helper()
+	_, keys := flowkeys.Keys(1 << 13)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := core.NewMembership(1<<14, 8, core.WithSeed(21))
+	must(err)
+	for _, k := range keys[:1024] {
+		m.Add(k)
+	}
+	cm, err := core.NewCountingMembership(1<<14, 8, core.WithSeed(22))
+	must(err)
+	for _, k := range keys[:1024] {
+		must(cm.Insert(k))
+	}
+	for _, k := range keys[:256] {
+		must(cm.Delete(k))
+	}
+	sh, err := sharded.New(1<<16, 8, 8, core.WithSeed(23))
+	must(err)
+	must(sh.AddAll(keys[:2048]))
+	w, err := window.NewMembership(core.Spec{Kind: core.KindWindowMembership, M: 1 << 14, K: 8, Seed: 24,
+		MaxOffset: core.DefaultMaxOffset, Generations: 3})
+	must(err)
+	for r := 0; r < 4; r++ {
+		for _, k := range keys[r*512 : (r+1)*512] {
+			w.Add(k)
+		}
+		must(w.Rotate())
+	}
+	for _, k := range keys[2048:2560] {
+		w.Add(k)
+	}
+	sw, err := sharded.NewWindow(core.Spec{Kind: core.KindWindowShardedMembership, M: 1 << 16, K: 8, Seed: 25,
+		MaxOffset: core.DefaultMaxOffset, Generations: 2, Shards: 4})
+	must(err)
+	for r := 0; r < 3; r++ {
+		must(sw.AddAll(keys[r*1024 : (r+1)*1024]))
+		must(sw.Rotate())
+	}
+	must(sw.AddAll(keys[3072:4096]))
+	return []goldenSource{
+		{"membership", m}, {"counting-membership", cm}, {"sharded-membership", sh},
+		{"window-membership", w}, {"sharded-window-membership", sw},
 	}
 }
 
@@ -471,6 +634,39 @@ func BenchmarkFrozenContainsAll(b *testing.B) {
 		dst = fz.ContainsAll(dst[:0], keys)
 	}
 	_ = dst
+}
+
+// BenchmarkFrozenOpen measures Open of a 16 Mibit (2 MiB) container
+// at 1 and 16 shards. B/op far below the container's size shows that
+// an aligned open copies no section.
+func BenchmarkFrozenOpen(b *testing.B) {
+	for _, shards := range []int{1, 16} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			blob := openContainer(b, shards)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Open(blob); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// openContainer freezes an empty 16 Mibit sharded filter of the given
+// shard count: Open's cost does not depend on what the bits hold.
+func openContainer(tb testing.TB, shards int) []byte {
+	tb.Helper()
+	live, err := sharded.New(1<<24, 8, shards, core.WithSeed(3))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	blob, err := Append(nil, live)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob
 }
 
 // BenchmarkFrozenStackOpen measures cold-open cost per stacked filter.

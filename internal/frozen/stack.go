@@ -10,7 +10,8 @@ import (
 // a host storage engine wants for thousands of SSTable-style filters
 // in one mapped file. One OpenStack validates the index; each At(i) is
 // then O(1): slice out the i-th container and Open it in place (no
-// copying, the per-filter cost is the handle and its hash families).
+// copying for an aligned file, the per-filter cost is the handle and
+// its per-shard views).
 //
 //	[container 0][zero pad to 64]…[container N−1][zero pad]
 //	[index: N × {offset u64, length u64}]

@@ -109,13 +109,14 @@ func (s *set[F]) size() int { return len(s.shards) }
 // batchPlan is a batch of keys grouped by destination shard: the key
 // indices routed to shard i are order[starts[i]:starts[i+1]]. Batch
 // operations walk the plan shard by shard, taking each shard lock once
-// per batch instead of once per key. Each key is digested exactly once
-// while grouping; the plan retains the digests so the per-shard loops
-// probe with them instead of re-hashing — one pass per key for the
-// whole batch operation, routing included. The plan also carries the
-// round kernels' scratch (core.ProbeScratch): it belongs to this one
-// batch, so concurrent readers of one shard never share it. Plans are
-// pooled so the steady-state batch path does not allocate.
+// per batch instead of once per key (ReadAll, for shards nothing
+// writes, takes none). Each key is digested exactly once while
+// grouping; the plan retains the digests so the per-shard loops probe
+// with them instead of re-hashing — one pass per key for the whole
+// batch operation, routing included. The plan also carries the round
+// kernels' scratch (core.ProbeScratch): it belongs to this one batch,
+// so concurrent readers of one shard never share it. Plans are pooled
+// so the steady-state batch path does not allocate.
 type batchPlan struct {
 	shardOf []uint32
 	digests []hashing.Digest
@@ -158,7 +159,7 @@ func batchRead[F, R any](s *set[F], dst []R, keys [][]byte, probe groupProbe[F, 
 		dst = make([]R, len(keys))
 	}
 	dst = dst[:len(keys)]
-	p := s.group(keys)
+	p := group(keys, len(s.shards))
 	defer p.release()
 	for i := range s.shards {
 		idxs := p.keysFor(i)
@@ -169,6 +170,24 @@ func batchRead[F, R any](s *set[F], dst []R, keys [][]byte, probe groupProbe[F, 
 		sh.mu.RLock()
 		probe(sh.f, dst, idxs, p.digests, &p.probe)
 		sh.mu.RUnlock()
+	}
+	return dst
+}
+
+// ReadAll is batchRead over shards that nothing writes, such as a
+// frozen container's sections: the same grouping, and no locks. The
+// shard count must be a power of two.
+func ReadAll[F, R any](shards []F, dst []R, keys [][]byte, probe func(F, []R, []int32, []hashing.Digest, *core.ProbeScratch)) []R {
+	if cap(dst) < len(keys) {
+		dst = make([]R, len(keys))
+	}
+	dst = dst[:len(keys)]
+	p := group(keys, len(shards))
+	defer p.release()
+	for i, f := range shards {
+		if idxs := p.keysFor(i); len(idxs) > 0 {
+			probe(f, dst, idxs, p.digests, &p.probe)
+		}
 	}
 	return dst
 }
@@ -205,7 +224,7 @@ func eachInsert[F any](insert func(F, []byte, hashing.Digest) error) groupWrite[
 // under its write lock and handing write that shard's whole group. The
 // first failure stops the batch; keys already applied stay applied.
 func batchWrite[F any](s *set[F], keys [][]byte, write groupWrite[F]) error {
-	p := s.group(keys)
+	p := group(keys, len(s.shards))
 	defer p.release()
 	for i := range s.shards {
 		idxs := p.keysFor(i)
@@ -223,11 +242,11 @@ func batchWrite[F any](s *set[F], keys [][]byte, write groupWrite[F]) error {
 	return nil
 }
 
-// group builds the shard-grouped plan for keys with a counting sort
-// over shard indices (stable, so each shard sees its keys in batch
-// order), digesting each key exactly once along the way. Release the
-// plan when done.
-func (s *set[F]) group(keys [][]byte) *batchPlan {
+// group builds the plan for keys routed over a power-of-two number of
+// shards with a counting sort over shard indices (stable, so each shard
+// sees its keys in batch order), digesting each key exactly once along
+// the way. Release the plan when done.
+func group(keys [][]byte, shards int) *batchPlan {
 	p := planPool.Get().(*batchPlan)
 	if cap(p.shardOf) < len(keys) {
 		p.shardOf = make([]uint32, len(keys))
@@ -235,12 +254,13 @@ func (s *set[F]) group(keys [][]byte) *batchPlan {
 		p.order = make([]int32, len(keys))
 	}
 	p.shardOf, p.digests, p.order = p.shardOf[:len(keys)], p.digests[:len(keys)], p.order[:len(keys)]
-	p.starts = growInts(p.starts, len(s.shards)+1)
-	p.next = growInts(p.next, len(s.shards))
+	p.starts = growInts(p.starts, shards+1)
+	p.next = growInts(p.next, shards)
 	clear(p.starts)
+	mask := uint64(shards - 1)
 	for i, e := range keys {
 		d := hashing.KeyDigest(e)
-		sh := uint32(d.Shard(s.mask))
+		sh := uint32(d.Shard(mask))
 		p.shardOf[i] = sh
 		p.digests[i] = d
 		p.starts[sh+1]++
