@@ -75,16 +75,27 @@ func (v *Vector) SizeBytes() int { return (v.n + 63) / 64 * 8 }
 // Set sets bit i to 1, charging one write access.
 func (v *Vector) Set(i int) {
 	v.boundsCheck(i)
-	v.words[i>>6] |= 1 << uint(i&63)
+	v.SetUncounted(i)
 	v.acc.AddWrites(1)
 }
 
 // Clear sets bit i to 0, charging one write access.
 func (v *Vector) Clear(i int) {
 	v.boundsCheck(i)
-	v.words[i>>6] &^= 1 << uint(i&63)
+	v.ClearUncounted(i)
 	v.acc.AddWrites(1)
 }
+
+// SetUncounted is Set without the access charge and the explicit range
+// check, small enough to inline: the counting filters' update paths
+// set k bits per update, tally the writes and charge them once through
+// Counter. Positions must be in range by construction, as for
+// WindowUncounted.
+func (v *Vector) SetUncounted(i int) { v.words[i>>6] |= 1 << uint(i&63) }
+
+// ClearUncounted is Clear without the access charge and the explicit
+// range check, on the same terms as SetUncounted.
+func (v *Vector) ClearUncounted(i int) { v.words[i>>6] &^= 1 << uint(i&63) }
 
 // Bit reports whether bit i is set, charging one read access. This is
 // the probe primitive of the standard BF baseline, whose k probes hit k

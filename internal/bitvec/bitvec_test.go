@@ -34,6 +34,32 @@ func TestSetBitClear(t *testing.T) {
 	}
 }
 
+// TestUncountedSetClearMatchCharged: SetUncounted and ClearUncounted
+// leave the vector as Set and Clear do, and charge nothing.
+func TestUncountedSetClearMatchCharged(t *testing.T) {
+	var billed, unbilled memmodel.Counter
+	charged, uncounted := New(300), New(300)
+	charged.SetCounter(&billed)
+	uncounted.SetCounter(&unbilled)
+	rng := rand.New(rand.NewSource(3))
+	for range 2000 {
+		i := rng.Intn(300)
+		if rng.Intn(2) == 0 {
+			charged.Set(i)
+			uncounted.SetUncounted(i)
+		} else {
+			charged.Clear(i)
+			uncounted.ClearUncounted(i)
+		}
+		if !charged.Equal(uncounted) {
+			t.Fatalf("vectors differ after a step on bit %d", i)
+		}
+	}
+	if billed.Writes() != 2000 || unbilled.Total() != 0 {
+		t.Fatalf("charged vector billed %v, uncounted one %v", &billed, &unbilled)
+	}
+}
+
 func TestBoundsPanics(t *testing.T) {
 	v := New(100)
 	for name, f := range map[string]func(){

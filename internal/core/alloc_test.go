@@ -114,30 +114,35 @@ func TestAssociationHotPathsAllocFree(t *testing.T) {
 	requireZeroAllocs(t, "Association.Query", 100, func() { a.Query(keys[i%len(keys)]); i++ })
 	requireZeroAllocs(t, "Association.QueryAll", 20, func() { dst = a.QueryAll(dst, keys) })
 
-	ca, err := NewCountingAssociation(1<<16, 8, WithCounterWidth(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range keys[:256] {
-		if err := ca.InsertS1(e); err != nil {
+	// k = 64 holds the update paths to their filter-owned position
+	// scratch whatever k is.
+	for _, k := range []int{8, 64} {
+		ca, err := NewCountingAssociation(1<<16, k, WithCounterWidth(8))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	requireZeroAllocs(t, "CountingAssociation.Query", 100, func() { ca.Query(keys[i%len(keys)]); i++ })
-	// Churn: stored keys move S1−S2 → S1∩S2 → S1−S2, and keys never
-	// stored are inserted and deleted again, reusing the freed node.
-	requireZeroAllocs(t, "CountingAssociation.Insert/Delete", 100, func() {
-		stored, fresh := keys[i%256], keys[256+i%256]
-		i++
-		for _, err := range []error{
-			ca.InsertS2(stored), ca.DeleteS2(stored),
-			ca.InsertS2(fresh), ca.InsertS1(fresh), ca.DeleteS2(fresh), ca.DeleteS1(fresh),
-		} {
-			if err != nil {
+		for _, e := range keys[:256] {
+			if err := ca.InsertS1(e); err != nil {
 				t.Fatal(err)
 			}
 		}
-	})
+		name := fmt.Sprintf("CountingAssociation(k=%d)", k)
+		requireZeroAllocs(t, name+".Query", 100, func() { ca.Query(keys[i%len(keys)]); i++ })
+		// Churn: stored keys move S1−S2 → S1∩S2 → S1−S2, and keys never
+		// stored are inserted and deleted again, reusing the freed node.
+		requireZeroAllocs(t, name+".Insert/Delete", 100, func() {
+			stored, fresh := keys[i%256], keys[256+i%256]
+			i++
+			for _, err := range []error{
+				ca.InsertS2(stored), ca.DeleteS2(stored),
+				ca.InsertS2(fresh), ca.InsertS1(fresh), ca.DeleteS2(fresh), ca.DeleteS1(fresh),
+			} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func TestMultiAssociationQueryAllocFree(t *testing.T) {
@@ -174,30 +179,34 @@ func TestMultiplicityHotPathsAllocFree(t *testing.T) {
 }
 
 func TestCountingMultiplicityHotPathsAllocFree(t *testing.T) {
-	f, err := NewCountingMultiplicity(1<<18, 8, 57, WithCounterWidth(8))
-	if err != nil {
-		t.Fatal(err)
-	}
 	keys := allocKeys(128)
-	for _, e := range keys {
-		if err := f.Insert(e); err != nil {
-			t.Fatal(err)
-		}
-	}
 	i := 0
-	requireZeroAllocs(t, "CountingMultiplicity.Count", 100, func() { f.Count(keys[i%len(keys)]); i++ })
-	// Insert/Delete on already-stored keys: the backing table updates in
-	// place, so steady-state churn is allocation-free too.
-	requireZeroAllocs(t, "CountingMultiplicity.Insert/Delete", 100, func() {
-		e := keys[i%len(keys)]
-		i++
-		if err := f.Insert(e); err != nil {
+	// k = 64 as for CountingAssociation.
+	for _, k := range []int{8, 64} {
+		f, err := NewCountingMultiplicity(1<<18, k, 57, WithCounterWidth(8))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Delete(e); err != nil {
-			t.Fatal(err)
+		for _, e := range keys {
+			if err := f.Insert(e); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
+		name := fmt.Sprintf("CountingMultiplicity(k=%d)", k)
+		requireZeroAllocs(t, name+".Count", 100, func() { f.Count(keys[i%len(keys)]); i++ })
+		// Insert/Delete on already-stored keys: the backing table updates
+		// in place, so steady-state churn is allocation-free too.
+		requireZeroAllocs(t, name+".Insert/Delete", 100, func() {
+			e := keys[i%len(keys)]
+			i++
+			if err := f.Insert(e); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Delete(e); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 // TestCountingTablesAddFewHeapObjects pins that the exact side tables

@@ -27,8 +27,7 @@ import (
 // the new one added; CountingAssociation completes the paper's sketch
 // with exactly that re-encoding.
 type CountingAssociation struct {
-	bits      *bitvec.Vector
-	counts    *counters.Array
+	counted                    // B, C and the update steps
 	sets      *hashtable.Table // element → inS1|inS2
 	n1, n2    int
 	m         int
@@ -63,8 +62,7 @@ func NewCountingAssociation(m, k int, opts ...Option) (*CountingAssociation, err
 	}
 	total := m + cfg.maxOffset - 1
 	a := &CountingAssociation{
-		bits:      bitvec.New(total),
-		counts:    counters.New(total, cfg.counterWidth),
+		counted:   counted{bits: bitvec.New(total), counts: counters.New(total, cfg.counterWidth)},
 		sets:      hashtable.New(cfg.seed + 1),
 		m:         m,
 		k:         k,
@@ -134,11 +132,11 @@ func (a *CountingAssociation) DeleteS2Digest(e []byte, d hashing.Digest) error {
 }
 
 // update sets (insert) or clears e's membership bit with one table
-// probe, then re-encodes e for its new region: decrement the old
-// offset's k counters (clearing bits that reach zero) and increment the
-// new offset's (setting bits). All positions derive from the single
-// digest d. A saturated counter fails the update before anything
-// changes.
+// probe, then re-encodes e for its new region: increment the new
+// offset's k counters (setting bits), then decrement the old offset's
+// (clearing bits that reach zero). All positions derive from the
+// single digest d and are computed once. A saturated counter fails the
+// update before anything changes.
 func (a *CountingAssociation) update(e []byte, d hashing.Digest, bit uint64, insert bool) error {
 	slot := a.sets.Lookup(e, d)
 	old := a.sets.Value(slot)
@@ -151,29 +149,22 @@ func (a *CountingAssociation) update(e []byte, d hashing.Digest, bit uint64, ins
 	case !insert:
 		next = old &^ bit
 	}
-	if newRegion := regionOf(next); newRegion != RegionNone {
-		o := a.offsetFor(d, newRegion)
-		for i := 0; i < a.k; i++ {
-			p := a.fam.ModFromDigest(i, d, a.m) + o
-			if a.counts.Peek(p) == a.counts.Max() {
-				return ErrCounterSaturated
-			}
-		}
-		for i := 0; i < a.k; i++ {
-			p := a.fam.ModFromDigest(i, d, a.m) + o
-			a.counts.Inc(p)
-			a.bits.Set(p)
+	pos := a.positions(a.fam, d, a.k, a.m)
+	to, from := regionOf(next), regionOf(old)
+	var toOff int
+	if to != RegionNone {
+		if toOff = a.offsetFor(d, to); a.full(pos, toOff) {
+			return ErrCounterSaturated
 		}
 	}
-	if oldRegion := regionOf(old); oldRegion != RegionNone {
-		o := a.offsetFor(d, oldRegion)
-		for i := 0; i < a.k; i++ {
-			p := a.fam.ModFromDigest(i, d, a.m) + o
-			if v, ok := a.counts.Dec(p); ok && v == 0 {
-				a.bits.Clear(p)
-			}
-		}
+	var t tally
+	if to != RegionNone {
+		a.add(pos, toOff, &t)
 	}
+	if from != RegionNone {
+		a.remove(pos, a.offsetFor(d, from), &t)
+	}
+	a.charge(t)
 	if next == 0 {
 		a.sets.Remove(slot)
 	} else {

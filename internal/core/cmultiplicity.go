@@ -31,14 +31,13 @@ import (
 // false negatives — the failure mode the paper warns about and the
 // reason 5.3.2 exists. The mode is kept for the ablation experiment.
 type CountingMultiplicity struct {
-	bits   *bitvec.Vector
-	counts *counters.Array
-	table  *hashtable.Table // nil in unsafe mode
-	m      int
-	k      int
-	c      int
-	fam    *hashing.Family
-	seed   uint64
+	counted                  // B, C and the update steps
+	table   *hashtable.Table // nil in unsafe mode
+	m       int
+	k       int
+	c       int
+	fam     *hashing.Family
+	seed    uint64
 }
 
 // NewCountingMultiplicity returns an empty CShBF_X for counts in [1, c].
@@ -57,13 +56,12 @@ func NewCountingMultiplicity(m, k, c int, opts ...Option) (*CountingMultiplicity
 		return nil, fmt.Errorf("core: max multiplicity c = %d out of range [1,64]", c)
 	}
 	f := &CountingMultiplicity{
-		bits:   bitvec.New(m + c - 1),
-		counts: counters.New(m+c-1, cfg.counterWidth),
-		m:      m,
-		k:      k,
-		c:      c,
-		fam:    hashing.NewFamily(k, cfg.seed),
-		seed:   cfg.seed,
+		counted: counted{bits: bitvec.New(m + c - 1), counts: counters.New(m+c-1, cfg.counterWidth)},
+		m:       m,
+		k:       k,
+		c:       c,
+		fam:     hashing.NewFamily(k, cfg.seed),
+		seed:    cfg.seed,
 	}
 	if !cfg.unsafeUpdate {
 		f.table = hashtable.New(cfg.seed + 3)
@@ -138,8 +136,13 @@ func (f *CountingMultiplicity) DeleteDigest(e []byte, d hashing.Digest) error {
 // move re-encodes the element digested as d from multiplicity z to
 // z+step (step ±1), z being the multiplicity the update path sees:
 // exact from the hash table in safe mode, queried from B in unsafe
-// mode. It fails with the filter unchanged on overflow, on deleting an
-// absent element, and on a saturated destination counter.
+// mode. It decrements the k counters of multiplicity z (clearing bits
+// that reach zero), then increments those of z+step (setting bits);
+// the positions are computed once. It fails with the filter unchanged
+// on overflow, on deleting an absent element, and on a saturated
+// destination counter. In unsafe mode a false-positive z decrements
+// counters owned by other elements — the documented false-negative
+// mechanism.
 func (f *CountingMultiplicity) move(d hashing.Digest, z, step int) error {
 	switch {
 	case step > 0 && z+1 > f.c:
@@ -147,56 +150,20 @@ func (f *CountingMultiplicity) move(d hashing.Digest, z, step int) error {
 	case step < 0 && z == 0:
 		return ErrNotStored
 	}
-	if z+step > 0 {
-		if err := f.checkHeadroom(d, z+step); err != nil {
-			return err
-		}
+	pos := f.positions(f.fam, d, f.k, f.m)
+	to := z + step
+	if to > 0 && f.full(pos, to-1) {
+		return ErrCounterSaturated
 	}
+	var t tally
 	if z > 0 {
-		f.removeEncoding(d, z)
+		f.remove(pos, z-1, &t)
 	}
-	if z+step > 0 {
-		f.addEncoding(d, z+step)
+	if to > 0 {
+		f.add(pos, to-1, &t)
 	}
+	f.charge(t)
 	return nil
-}
-
-// checkHeadroom verifies no counter of multiplicity count's encoding —
-// the destination of a move — is saturated, so failed updates leave
-// the filter untouched.
-func (f *CountingMultiplicity) checkHeadroom(d hashing.Digest, count int) error {
-	o := count - 1
-	for i := 0; i < f.k; i++ {
-		if f.counts.Peek(f.fam.ModFromDigest(i, d, f.m)+o) == f.counts.Max() {
-			return ErrCounterSaturated
-		}
-	}
-	return nil
-}
-
-// addEncoding increments the k counters of multiplicity count and sets
-// the bits.
-func (f *CountingMultiplicity) addEncoding(d hashing.Digest, count int) {
-	o := count - 1
-	for i := 0; i < f.k; i++ {
-		p := f.fam.ModFromDigest(i, d, f.m) + o
-		f.counts.Inc(p)
-		f.bits.Set(p)
-	}
-}
-
-// removeEncoding decrements the k counters of multiplicity count,
-// clearing bits whose counters reach zero (Figure 5, steps 2–3). In
-// unsafe mode a false-positive z can decrement counters owned by other
-// elements — the documented false-negative mechanism.
-func (f *CountingMultiplicity) removeEncoding(d hashing.Digest, count int) {
-	o := count - 1
-	for i := 0; i < f.k; i++ {
-		p := f.fam.ModFromDigest(i, d, f.m) + o
-		if v, ok := f.counts.Dec(p); ok && v == 0 {
-			f.bits.Clear(p)
-		}
-	}
 }
 
 // candidateMask intersects the k c-bit windows over B for the element

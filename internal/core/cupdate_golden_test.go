@@ -20,9 +20,10 @@ import (
 // paper's update-cost accounting reads. Counter width 4 keeps every
 // counter inside one word; width 5 makes some straddle two. Each
 // width runs once plain and once with both access counters attached
-// (WithAccessCounter on B, SetUpdateCounter on C and the table). The
-// values were recorded on the update paths that predate the single
-// update body, so any rewrite must reproduce them exactly.
+// (WithAccessCounter on B, SetUpdateCounter on C and the table). A
+// rewrite of the update paths must reproduce these values exactly;
+// regenerate them only for a deliberate change of the snapshot format
+// or of the paper's access accounting.
 func TestCountingUpdateGolden(t *testing.T) {
 	want := map[string]updateGolden{
 		"assoc/w4/plain": {

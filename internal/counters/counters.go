@@ -26,6 +26,7 @@ type Array struct {
 	width     uint
 	max       uint64
 	overflows uint64
+	inWord    bool // width divides 64: no counter straddles two words
 	acc       *memmodel.Counter
 }
 
@@ -47,10 +48,11 @@ func New(n int, width uint) *Array {
 		max = (1 << width) - 1
 	}
 	return &Array{
-		words: make([]uint64, (totalBits+63)/64),
-		n:     n,
-		width: width,
-		max:   max,
+		words:  make([]uint64, (totalBits+63)/64),
+		n:      n,
+		width:  width,
+		max:    max,
+		inWord: 64%width == 0,
 	}
 }
 
@@ -100,34 +102,94 @@ func (a *Array) Set(i int, v uint64) {
 // value and charges one read and one write access.
 func (a *Array) Inc(i int) uint64 {
 	a.boundsCheck(i)
-	v := a.get(i)
 	a.acc.AddReads(1)
-	if v == a.max {
-		a.overflows++
-		a.acc.AddWrites(1)
-		return v
-	}
-	v++
-	a.put(i, v)
 	a.acc.AddWrites(1)
-	return v
+	return a.IncUncounted(i)
 }
 
 // Dec decrements counter i by 1. Decrementing a zero counter is a
 // programming error in every scheme that uses this package (it means a
 // delete without a matching insert), so Dec reports it via ok=false and
-// leaves the counter at zero. It charges one read and one write access.
+// leaves the counter at zero. It charges one read access, and one write
+// access when the counter was nonzero.
 func (a *Array) Dec(i int) (v uint64, ok bool) {
 	a.boundsCheck(i)
-	v = a.get(i)
 	a.acc.AddReads(1)
+	if v, ok = a.DecUncounted(i); ok {
+		a.acc.AddWrites(1)
+	}
+	return v, ok
+}
+
+// Uncounted and word-level forms. The counting filters' update paths
+// step k counters per update; each step below is Inc, Dec or Peek
+// without the access charge and without the explicit range check, so
+// an update can tally its accesses and charge them once (Charge). As
+// with bitvec's uncounted forms, callers hold indexes that are in
+// range by construction; a wild index past the last word faults the
+// slice bounds check instead of touching foreign memory.
+
+// InWord reports whether the width divides 64, so that no counter
+// straddles two words and IncWord and DecWord apply.
+func (a *Array) InWord() bool { return a.inWord }
+
+// Charge charges reads and writes to the attached access counter.
+func (a *Array) Charge(reads, writes int) {
+	a.acc.AddReads(reads)
+	a.acc.AddWrites(writes)
+}
+
+// GetUncounted returns counter i, like Peek. It inlines for every
+// width.
+func (a *Array) GetUncounted(i int) uint64 { return a.get(i) }
+
+// IncUncounted is Inc without the charge, for any width: it returns
+// the new value, and a saturated counter stays at Max and is tallied
+// as an overflow.
+func (a *Array) IncUncounted(i int) uint64 {
+	v := a.get(i)
+	if v == a.max {
+		a.overflows++
+		return v
+	}
+	v++
+	a.put(i, v)
+	return v
+}
+
+// DecUncounted is Dec without the charge, for any width.
+func (a *Array) DecUncounted(i int) (v uint64, ok bool) {
+	v = a.get(i)
 	if v == 0 {
 		return 0, false
 	}
 	v--
 	a.put(i, v)
-	a.acc.AddWrites(1)
 	return v, true
+}
+
+// IncWord is IncUncounted for an InWord array, as one add into the
+// counter's word. It inlines.
+func (a *Array) IncWord(i int) {
+	bit := i * int(a.width)
+	wi, off := bit>>6, uint(bit&63)
+	if a.words[wi]>>off&a.max == a.max {
+		a.overflows++
+		return
+	}
+	a.words[wi] += 1 << off
+}
+
+// DecWord is DecUncounted for an InWord array, as one subtract from the
+// counter's word. It inlines.
+func (a *Array) DecWord(i int) (v uint64, ok bool) {
+	bit := i * int(a.width)
+	wi, off := bit>>6, uint(bit&63)
+	if v = a.words[wi] >> off & a.max; v == 0 {
+		return 0, false
+	}
+	a.words[wi] -= 1 << off
+	return v - 1, true
 }
 
 // AddSaturating adds o's counters into a counter-wise, clamping each

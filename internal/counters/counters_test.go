@@ -181,6 +181,63 @@ func TestAccessAccounting(t *testing.T) {
 	}
 }
 
+// TestUncountedStepsMatchCharged drives twin arrays with one random
+// sequence of steps, the charged Inc/Dec on one and the uncounted
+// forms on the other (on odd steps IncWord/DecWord where InWord
+// holds), and checks that the values, the (v, ok) answers and the
+// overflow tallies agree while only the charged array is billed, at
+// every width class. The small array and the bias toward increments
+// saturate the counters of up to 8 bits.
+func TestUncountedStepsMatchCharged(t *testing.T) {
+	for _, width := range []uint{1, 2, 3, 4, 5, 7, 8, 13, 16, 31, 32, 33, 64} {
+		var billed, unbilled memmodel.Counter
+		charged, uncounted := New(37, width), New(37, width)
+		charged.SetCounter(&billed)
+		uncounted.SetCounter(&unbilled)
+		if got, want := uncounted.InWord(), 64%width == 0; got != want {
+			t.Fatalf("width %d: InWord = %v, want %v", width, got, want)
+		}
+		rng := rand.New(rand.NewSource(int64(width)))
+		for step := 0; step < 40000; step++ {
+			i, word := rng.Intn(37), uncounted.InWord() && step%2 == 1
+			if rng.Intn(3) != 0 {
+				want := charged.Inc(i)
+				if word {
+					uncounted.IncWord(i)
+				} else if got := uncounted.IncUncounted(i); got != want {
+					t.Fatalf("width %d step %d: IncUncounted(%d) = %d, want %d", width, step, i, got, want)
+				}
+			} else {
+				wantV, wantOK := charged.Dec(i)
+				var gotV uint64
+				var gotOK bool
+				if word {
+					gotV, gotOK = uncounted.DecWord(i)
+				} else {
+					gotV, gotOK = uncounted.DecUncounted(i)
+				}
+				if gotV != wantV || gotOK != wantOK {
+					t.Fatalf("width %d step %d: Dec(%d) = %d, %v, want %d, %v", width, step, i, gotV, gotOK, wantV, wantOK)
+				}
+			}
+			if got, want := uncounted.GetUncounted(i), charged.Peek(i); got != want {
+				t.Fatalf("width %d step %d: counter %d = %d, want %d", width, step, i, got, want)
+			}
+		}
+		if charged.Overflows() != uncounted.Overflows() || (width <= 8 && charged.Overflows() == 0) {
+			t.Fatalf("width %d: overflows %d and %d, want equal (and nonzero up to 8 bits)",
+				width, charged.Overflows(), uncounted.Overflows())
+		}
+		if billed.Total() == 0 || unbilled.Total() != 0 {
+			t.Fatalf("width %d: charged array billed %v, uncounted one %v", width, &billed, &unbilled)
+		}
+		uncounted.Charge(3, 2)
+		if unbilled.Reads() != 3 || unbilled.Writes() != 2 {
+			t.Fatalf("width %d: Charge(3, 2) billed %v", width, &unbilled)
+		}
+	}
+}
+
 func TestPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"New(0,4)":  func() { New(0, 4) },
