@@ -72,7 +72,16 @@ func TestAssociationHotPathsAllocFree(t *testing.T) {
 }
 
 func TestMultiplicityHotPathsAllocFree(t *testing.T) {
-	f, err := NewMultiplicity(1<<20, 8, 57, 8, core.WithCounterWidth(8))
+	for _, k := range []int{8, 64} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { multiplicityHotPathsAllocFree(t, k) })
+	}
+}
+
+// multiplicityHotPathsAllocFree runs the guards at k bit positions per
+// element; k = 64 holds the shards' update paths to their filter-owned
+// position scratch whatever k is.
+func multiplicityHotPathsAllocFree(t *testing.T, k int) {
+	f, err := NewMultiplicity(1<<20, k, 57, 8, core.WithCounterWidth(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,6 +103,17 @@ func TestMultiplicityHotPathsAllocFree(t *testing.T) {
 		}
 		if err := f.Delete(e); err != nil {
 			t.Fatal(err)
+		}
+	})
+	// A counted item's steps run under one digest and one lock.
+	requireZeroAllocs(t, "Multiplicity.InsertCount/DeleteCount", 100, func() {
+		e := keys[i%len(keys)]
+		i++
+		if n, err := f.InsertCount(e, 3); n != 3 || err != nil {
+			t.Fatal(n, err)
+		}
+		if n, err := f.DeleteCount(e, 3); n != 3 || err != nil {
+			t.Fatal(n, err)
 		}
 	})
 	// AddAll on already-stored keys: c = 57 leaves headroom for the

@@ -1,6 +1,7 @@
 package sharded
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"testing"
@@ -59,6 +60,54 @@ func TestMultiplicityInsertDelete(t *testing.T) {
 	if got := f.Count(e); got != 0 {
 		// A false positive is possible but wildly unlikely at this load.
 		t.Fatalf("Count after full delete = %d, want 0", got)
+	}
+}
+
+// TestMultiplicityCountedSteps: InsertCount and DeleteCount run their
+// one-count steps until one fails and report how many applied, for the
+// classic and the windowed filter alike.
+func TestMultiplicityCountedSteps(t *testing.T) {
+	classic, err := NewMultiplicity(1<<16, 8, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := NewWindowMultiplicity(core.Spec{Kind: core.KindWindowShardedMultiplicity,
+		M: 1 << 16, K: 8, C: 8, Shards: 2, Generations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type counted interface {
+		InsertCount(e []byte, count int) (int, error)
+		DeleteCount(e []byte, count int) (int, error)
+		Count(e []byte) int
+	}
+	for name, f := range map[string]counted{"classic": classic, "window": ring} {
+		e := []byte("counted-element")
+		for _, step := range []struct {
+			insert      bool
+			count, want int
+			err         error
+		}{
+			{true, 0, 0, nil},
+			{true, 5, 5, nil},
+			{true, 5, 3, core.ErrCountOverflow}, // c = 8
+			{false, 6, 6, nil},
+			{false, 6, 2, core.ErrNotStored},
+		} {
+			var n int
+			if step.insert {
+				n, err = f.InsertCount(e, step.count)
+			} else {
+				n, err = f.DeleteCount(e, step.count)
+			}
+			if n != step.want || !errors.Is(err, step.err) {
+				t.Fatalf("%s: insert=%v count %d = %d, %v; want %d, %v",
+					name, step.insert, step.count, n, err, step.want, step.err)
+			}
+		}
+		if got := f.Count(e); got != 0 {
+			t.Fatalf("%s: Count after deleting every step = %d, want 0", name, got)
+		}
 	}
 }
 
