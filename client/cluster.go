@@ -71,9 +71,21 @@ type NodeError struct {
 	Indices []int
 	// Applied is the node-reported mid-batch split point within the
 	// node's own sub-batch (daemon-reported failures only): sub-batch
-	// updates before it stay applied, so the caller resumes this node
-	// from keys[Indices[Applied:]]. Other nodes' sub-batches are
+	// updates before it stay applied. Other nodes' sub-batches are
 	// reported independently — a fan-out has no global split point.
+	//
+	// For AddAll and for CounterAdd with nil counts Applied counts
+	// keys, so the caller resumes this node from
+	// keys[Indices[Applied:]].
+	//
+	// For counted adds (CounterAdd with counts) the daemon counts
+	// increments, not keys, so Applied can exceed len(Indices). Walk
+	// the sub-batch in order, subtracting counts[Indices[j]] from
+	// Applied while what is left covers the whole count. The key the
+	// walk stops at, keys[Indices[j]], had the remaining Applied of its
+	// increments applied; resume this node with that key's rest
+	// (counts[Indices[j]] minus the remainder), then keys[Indices[j+1:]]
+	// with their full counts.
 	Applied uint64
 	// Err is the underlying failure (*Error for daemon-reported ones).
 	Err error
@@ -450,8 +462,9 @@ func (ns *ClusterNamespace) Contains(e []byte) bool {
 
 // CounterAdd increments multiplicities across the cluster: counts[i]
 // increments for keys[i] (nil counts = one each), written to all R
-// owner nodes. Per-node conflicts (count overflow) surface with the
-// node's applied split point in the ClusterError.
+// owner nodes. Per-node conflicts (count overflow) surface in the
+// ClusterError with the node's split point counted in increments;
+// [NodeError.Applied] says how to resume from it.
 func (ns *ClusterNamespace) CounterAdd(keys [][]byte, counts []int) error {
 	if counts != nil && len(counts) != len(keys) {
 		return fmt.Errorf("client: %d counts for %d keys", len(counts), len(keys))

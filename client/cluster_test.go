@@ -359,6 +359,70 @@ func TestClusterConflictAppliedParity(t *testing.T) {
 	}
 }
 
+// TestClusterCountedAddResumesInIncrements: a counted sub-batch that
+// overflows midway reports its split point in increments, more than
+// the sub-batch has keys, and NodeError.Applied's recipe finds the key
+// each owner stopped at and how many of its increments landed.
+// Resuming every failed node after that key leaves each owner holding
+// every key at its target count.
+func TestClusterCountedAddResumesInIncrements(t *testing.T) {
+	_, cl := dialTestCluster(t, 3, 2)
+	cns := cl.Namespace("default")
+	keys := clusterKeys("counted", 60)
+	counts := make([]int, len(keys))
+	for i := range counts {
+		counts[i] = 3
+	}
+	// MaxCount is 16: 16 of this key's 20 increments land on each
+	// owner before the 17th conflicts.
+	const over, landed = 45, 16
+	counts[over] = 20
+
+	err := cns.CounterAdd(keys, counts)
+	var ce *client.ClusterError
+	if !client.IsConflict(err) || !errors.As(err, &ce) {
+		t.Fatalf("want a ClusterError conflict, got %v", err)
+	}
+	owners := cl.Map().RangeFor(hashing.KeyDigest(keys[over]).Hi).Owners
+	if len(ce.Errs) != len(owners) {
+		t.Fatalf("%d failed nodes, want the key's %d owners: %v", len(ce.Errs), len(owners), err)
+	}
+	for _, ne := range ce.Errs {
+		if ne.Applied <= uint64(len(ne.Indices)) {
+			t.Fatalf("%s: applied %d within %d keys; counted adds report increments", ne.Node, ne.Applied, len(ne.Indices))
+		}
+		// The recipe of NodeError.Applied.
+		j, rest := 0, int(ne.Applied)
+		for ; j < len(ne.Indices) && rest >= counts[ne.Indices[j]]; j++ {
+			rest -= counts[ne.Indices[j]]
+		}
+		if j == len(ne.Indices) || ne.Indices[j] != over || rest != landed {
+			t.Fatalf("%s: recipe stops at position %d with %d increments, want key %d with %d",
+				ne.Node, j, rest, over, landed)
+		}
+		// The stopped key's rest would overflow again; resume after it.
+		node := cl.Client(ne.Node).Namespace("default").Counter()
+		for _, idx := range ne.Indices[j+1:] {
+			if err := node.InsertCount(keys[idx], counts[idx]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	counts[over] = landed
+	for i, k := range keys {
+		for _, owner := range cl.Map().RangeFor(hashing.KeyDigest(k).Hi).Owners {
+			got, err := cl.Client(owner).Namespace("default").Counter().Counts([][]byte{k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[0] != counts[i] {
+				t.Fatalf("key %d on %s: count %d, want %d", i, owner, got[0], counts[i])
+			}
+		}
+	}
+}
+
 // TestClusterInFlightKillDoesNotHang is the accepted-then-shutdown
 // regression at cluster scope: batches keep flowing while a node dies
 // under them; every call must return (success or error), never hang.
