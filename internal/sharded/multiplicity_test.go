@@ -111,6 +111,44 @@ func TestMultiplicityCountedSteps(t *testing.T) {
 	}
 }
 
+// TestMultiplicityConcurrentCountedSteps runs counted steps on shared
+// keys from several goroutines (run with -race). Every step lands below
+// c, so none may fail, and each key ends at exactly workers × rounds ×
+// (3 − 1): deleting one step more than that stops at the exact count.
+func TestMultiplicityConcurrentCountedSteps(t *testing.T) {
+	f, err := NewMultiplicity(1<<18, 8, 57, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, rounds, want = 4, 5, 4 * 5 * 2
+	elems := genElements(200, 25)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				for _, e := range elems {
+					if n, err := f.InsertCount(e, 3); n != 3 || err != nil {
+						t.Errorf("InsertCount = %d, %v", n, err)
+						return
+					}
+					if n, err := f.DeleteCount(e, 1); n != 1 || err != nil {
+						t.Errorf("DeleteCount = %d, %v", n, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, e := range elems {
+		if n, err := f.DeleteCount(e, want+1); n != want || !errors.Is(err, core.ErrNotStored) {
+			t.Fatalf("element %d: deleting %d steps = %d, %v; want %d, ErrNotStored", i, want+1, n, err, want)
+		}
+	}
+}
+
 func TestMultiplicityConcurrentUse(t *testing.T) {
 	// Run with -race: concurrent incrementers and counters.
 	f, err := NewMultiplicity(1<<20, 8, 57, 8)
