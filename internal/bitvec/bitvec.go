@@ -88,7 +88,7 @@ func (v *Vector) Clear(i int) {
 
 // SetUncounted is Set without the access charge and the explicit range
 // check, small enough to inline: the counting filters' update paths
-// set k bits per update, tally the writes and charge them once through
+// set k bits at a time and charge the k writes at once through
 // Counter. Positions must be in range by construction, as for
 // WindowUncounted.
 func (v *Vector) SetUncounted(i int) { v.words[i>>6] |= 1 << uint(i&63) }

@@ -157,14 +157,12 @@ func (a *CountingAssociation) update(e []byte, d hashing.Digest, bit uint64, ins
 			return ErrCounterSaturated
 		}
 	}
-	var t tally
 	if to != RegionNone {
-		a.add(pos, toOff, &t)
+		a.add(pos, toOff)
 	}
 	if from != RegionNone {
-		a.remove(pos, a.offsetFor(d, from), &t)
+		a.remove(pos, a.offsetFor(d, from))
 	}
-	a.charge(t)
 	if next == 0 {
 		a.sets.Remove(slot)
 	} else {

@@ -155,14 +155,12 @@ func (f *CountingMultiplicity) move(d hashing.Digest, z, step int) error {
 	if to > 0 && f.full(pos, to-1) {
 		return ErrCounterSaturated
 	}
-	var t tally
 	if z > 0 {
-		f.remove(pos, z-1, &t)
+		f.remove(pos, z-1)
 	}
 	if to > 0 {
-		f.add(pos, to-1, &t)
+		f.add(pos, to-1)
 	}
-	f.charge(t)
 	return nil
 }
 

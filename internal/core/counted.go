@@ -13,8 +13,8 @@ import (
 // positions h_i(e) mod m shifted by the offset that encodes the key's
 // region (CShBF_A) or multiplicity (CShBF_X), and the steps below are
 // the only code that does: positions computes the k positions once,
-// full checks the destination for headroom, add and remove step the
-// counters and bits, and charge bills the update's accesses once.
+// full checks the destination for headroom, and add and remove step
+// the counters and bits and bill their accesses.
 //
 // Counters whose width divides 64 are stepped in place inside their
 // word (counters.IncWord and DecWord, which inline); a width whose
@@ -30,11 +30,6 @@ type counted struct {
 	bits   *bitvec.Vector
 	counts *counters.Array
 	pos    []int // scratch: the updating key's k unshifted positions
-}
-
-// tally is one update's accesses, billed once by charge.
-type tally struct {
-	reads, writes, bitWrites int
 }
 
 // positions computes the k positions h_i(e) mod m of the key digested
@@ -61,7 +56,7 @@ func (c *counted) full(pos []int, o int) bool {
 // add increments the k counters of the encoding at offset o and sets
 // their bits. A counter that two positions share and that reaches Max
 // stays there and is tallied as an overflow, as counters.Inc does.
-func (c *counted) add(pos []int, o int, t *tally) {
+func (c *counted) add(pos []int, o int) {
 	counts, bits, inWord := c.counts, c.bits, c.counts.InWord()
 	for _, p := range pos {
 		p += o
@@ -72,15 +67,14 @@ func (c *counted) add(pos []int, o int, t *tally) {
 		}
 		bits.SetUncounted(p)
 	}
-	t.reads += len(pos)
-	t.writes += len(pos)
-	t.bitWrites += len(pos)
+	counts.Charge(len(pos), len(pos))
+	bits.Counter().AddWrites(len(pos))
 }
 
 // remove decrements the k counters of the encoding at offset o,
 // clearing the bits of those that reach zero (Figure 5, steps 2–3). A
 // counter already at zero stays there, as counters.Dec leaves it.
-func (c *counted) remove(pos []int, o int, t *tally) {
+func (c *counted) remove(pos []int, o int) {
 	counts, bits, inWord := c.counts, c.bits, c.counts.InWord()
 	decs, clears := 0, 0
 	for _, p := range pos {
@@ -101,14 +95,6 @@ func (c *counted) remove(pos []int, o int, t *tally) {
 			clears++
 		}
 	}
-	t.reads += len(pos)
-	t.writes += decs
-	t.bitWrites += clears
-}
-
-// charge bills an update's tallied accesses: C's to the update
-// counter, B's to the access counter.
-func (c *counted) charge(t tally) {
-	c.counts.Charge(t.reads, t.writes)
-	c.bits.Counter().AddWrites(t.bitWrites)
+	counts.Charge(len(pos), decs)
+	bits.Counter().AddWrites(clears)
 }

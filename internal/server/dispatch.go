@@ -253,22 +253,21 @@ func (s *Server) apply(req *wire.Request, resp *wire.Response, sc *dispatchScrat
 		}
 
 	case wire.OpMultiplicityAdd, wire.OpMultiplicityRemove:
-		// An item of count c is c one-count moves under one digest and
-		// one shard lock; Applied counts the moves.
-		update := ns.mult.InsertCount
+		update := ns.mult.Insert
 		if req.Op == wire.OpMultiplicityRemove {
-			update = ns.mult.DeleteCount
+			update = ns.mult.Delete
 		}
 		for i, k := range req.Keys {
 			count := 1
 			if len(req.Counts) != 0 {
 				count = req.Counts[i]
 			}
-			applied, err := update(k, count)
-			resp.Applied += uint64(applied)
-			if err != nil {
-				ns.stats.multiplicityUpdate.Add(resp.Applied)
-				return classed{fmt.Errorf("item %d: %w", i, err), errMidBatch}
+			for range count {
+				if err := update(k); err != nil {
+					ns.stats.multiplicityUpdate.Add(resp.Applied)
+					return classed{fmt.Errorf("item %d: %w", i, err), errMidBatch}
+				}
+				resp.Applied++
 			}
 		}
 		ns.stats.multiplicityUpdate.Add(resp.Applied)

@@ -201,8 +201,6 @@ type multiplicityFilter interface {
 	shbf.Filter
 	Insert(e []byte) error
 	Delete(e []byte) error
-	InsertCount(e []byte, count int) (int, error)
-	DeleteCount(e []byte, count int) (int, error)
 	Count(e []byte) int
 	CountAll(dst []int, keys [][]byte) []int
 	ShardStats() []sharded.MultiplicityShardStat

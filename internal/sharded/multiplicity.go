@@ -91,21 +91,6 @@ func (c *multiplicity[T, F]) Delete(e []byte) error {
 	return update(&c.set, e, F.DeleteDigest)
 }
 
-// InsertCount runs count one-step inserts of e (Insert's moves, in the
-// ring's head generation for a window) under one digest and one shard
-// lock. The first failed step stops them: the steps before it stay
-// applied, and the call returns how many were applied with the
-// failure. Safe for concurrent use.
-func (c *multiplicity[T, F]) InsertCount(e []byte, count int) (int, error) {
-	return updateCount(&c.set, e, count, F.InsertDigest)
-}
-
-// DeleteCount runs count one-step deletes of e under one digest and one
-// shard lock, on InsertCount's terms.
-func (c *multiplicity[T, F]) DeleteCount(e []byte, count int) (int, error) {
-	return updateCount(&c.set, e, count, F.DeleteDigest)
-}
-
 // Count returns e's queried multiplicity (summed across the shard's
 // ring, for a window; 0 for definite non-members; never an
 // underestimate in the default mode) with a single hash pass. Safe for

@@ -1,7 +1,6 @@
 package sharded
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 	"testing"
@@ -60,92 +59,6 @@ func TestMultiplicityInsertDelete(t *testing.T) {
 	if got := f.Count(e); got != 0 {
 		// A false positive is possible but wildly unlikely at this load.
 		t.Fatalf("Count after full delete = %d, want 0", got)
-	}
-}
-
-// TestMultiplicityCountedSteps: InsertCount and DeleteCount run their
-// one-count steps until one fails and report how many applied, for the
-// classic and the windowed filter alike.
-func TestMultiplicityCountedSteps(t *testing.T) {
-	classic, err := NewMultiplicity(1<<16, 8, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring, err := NewWindowMultiplicity(core.Spec{Kind: core.KindWindowShardedMultiplicity,
-		M: 1 << 16, K: 8, C: 8, Shards: 2, Generations: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type counted interface {
-		InsertCount(e []byte, count int) (int, error)
-		DeleteCount(e []byte, count int) (int, error)
-		Count(e []byte) int
-	}
-	for name, f := range map[string]counted{"classic": classic, "window": ring} {
-		e := []byte("counted-element")
-		for _, step := range []struct {
-			insert      bool
-			count, want int
-			err         error
-		}{
-			{true, 0, 0, nil},
-			{true, 5, 5, nil},
-			{true, 5, 3, core.ErrCountOverflow}, // c = 8
-			{false, 6, 6, nil},
-			{false, 6, 2, core.ErrNotStored},
-		} {
-			var n int
-			if step.insert {
-				n, err = f.InsertCount(e, step.count)
-			} else {
-				n, err = f.DeleteCount(e, step.count)
-			}
-			if n != step.want || !errors.Is(err, step.err) {
-				t.Fatalf("%s: insert=%v count %d = %d, %v; want %d, %v",
-					name, step.insert, step.count, n, err, step.want, step.err)
-			}
-		}
-		if got := f.Count(e); got != 0 {
-			t.Fatalf("%s: Count after deleting every step = %d, want 0", name, got)
-		}
-	}
-}
-
-// TestMultiplicityConcurrentCountedSteps runs counted steps on shared
-// keys from several goroutines (run with -race). Every step lands below
-// c, so none may fail, and each key ends at exactly workers × rounds ×
-// (3 − 1): deleting one step more than that stops at the exact count.
-func TestMultiplicityConcurrentCountedSteps(t *testing.T) {
-	f, err := NewMultiplicity(1<<18, 8, 57, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers, rounds, want = 4, 5, 4 * 5 * 2
-	elems := genElements(200, 25)
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for range rounds {
-				for _, e := range elems {
-					if n, err := f.InsertCount(e, 3); n != 3 || err != nil {
-						t.Errorf("InsertCount = %d, %v", n, err)
-						return
-					}
-					if n, err := f.DeleteCount(e, 1); n != 1 || err != nil {
-						t.Errorf("DeleteCount = %d, %v", n, err)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for i, e := range elems {
-		if n, err := f.DeleteCount(e, want+1); n != want || !errors.Is(err, core.ErrNotStored) {
-			t.Fatalf("element %d: deleting %d steps = %d, %v; want %d, ErrNotStored", i, want+1, n, err, want)
-		}
 	}
 }
 

@@ -197,25 +197,6 @@ func update[F any](s *set[F], e []byte, op func(F, []byte, hashing.Digest) error
 	return err
 }
 
-// updateCount is update for count steps of op: it digests e and takes
-// its shard's write lock once, runs op until a step fails, and returns
-// how many steps were applied.
-func updateCount[F any](s *set[F], e []byte, count int, op func(F, []byte, hashing.Digest) error) (int, error) {
-	if count <= 0 {
-		return 0, nil
-	}
-	d := hashing.KeyDigest(e)
-	sh := s.forDigest(d)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for i := range count {
-		if err := op(sh.f, e, d); err != nil {
-			return i, err
-		}
-	}
-	return count, nil
-}
-
 // shardStats snapshots every shard with stat, each under its read
 // lock.
 func shardStats[F, S any](s *set[F], stat func(F) S) []S {
