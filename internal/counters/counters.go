@@ -102,9 +102,17 @@ func (a *Array) Set(i int, v uint64) {
 // value and charges one read and one write access.
 func (a *Array) Inc(i int) uint64 {
 	a.boundsCheck(i)
+	v := a.get(i)
 	a.acc.AddReads(1)
+	if v == a.max {
+		a.overflows++
+		a.acc.AddWrites(1)
+		return v
+	}
+	v++
+	a.put(i, v)
 	a.acc.AddWrites(1)
-	return a.IncUncounted(i)
+	return v
 }
 
 // Dec decrements counter i by 1. Decrementing a zero counter is a
@@ -114,20 +122,27 @@ func (a *Array) Inc(i int) uint64 {
 // access when the counter was nonzero.
 func (a *Array) Dec(i int) (v uint64, ok bool) {
 	a.boundsCheck(i)
+	v = a.get(i)
 	a.acc.AddReads(1)
-	if v, ok = a.DecUncounted(i); ok {
-		a.acc.AddWrites(1)
+	if v == 0 {
+		return 0, false
 	}
-	return v, ok
+	v--
+	a.put(i, v)
+	a.acc.AddWrites(1)
+	return v, true
 }
 
 // Uncounted and word-level forms. The counting filters' update paths
-// step k counters per update; each step below is Inc, Dec or Peek
+// step k counters at a time; each step below is Inc, Dec or Peek
 // without the access charge and without the explicit range check, so
-// an update can tally its accesses and charge them once (Charge). As
-// with bitvec's uncounted forms, callers hold indexes that are in
-// range by construction; a wild index past the last word faults the
-// slice bounds check instead of touching foreign memory.
+// the caller charges the k steps' accesses with one Charge. As with
+// bitvec's uncounted forms, callers hold indexes that are in range by
+// construction; a wild index past the last word faults the slice
+// bounds check instead of touching foreign memory. Inc and Dec keep
+// bodies of their own rather than calling these: IncUncounted and
+// DecUncounted do not inline, and the charged paths (CShBF_M, the
+// CBF, the sketches) would pay a nested call.
 
 // InWord reports whether the width divides 64, so that no counter
 // straddles two words and IncWord and DecWord apply.
