@@ -105,17 +105,6 @@ func multiplicityHotPathsAllocFree(t *testing.T, k int) {
 			t.Fatal(err)
 		}
 	})
-	// A counted item's steps run under one digest and one lock.
-	requireZeroAllocs(t, "Multiplicity.InsertCount/DeleteCount", 100, func() {
-		e := keys[i%len(keys)]
-		i++
-		if n, err := f.InsertCount(e, 3); n != 3 || err != nil {
-			t.Fatal(n, err)
-		}
-		if n, err := f.DeleteCount(e, 3); n != 3 || err != nil {
-			t.Fatal(n, err)
-		}
-	})
 	// AddAll on already-stored keys: c = 57 leaves headroom for the
 	// 20+1 batch increments below.
 	requireZeroAllocs(t, "Multiplicity.AddAll", 20, func() {
