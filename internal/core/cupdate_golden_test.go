@@ -12,8 +12,8 @@ import (
 	"shbf/internal/memmodel"
 )
 
-// TestCountingUpdateGolden pins what the CShBF_A and CShBF_X update
-// paths do to a filter, op by op, on filters small enough that
+// TestCountingUpdateGolden pins what the CShBF_A, CShBF_X and CShBF_M
+// update paths do to a filter, op by op, on filters small enough that
 // positions collide within a key's encoding and counters saturate:
 // the snapshot bytes (the counters' overflow tally included), each
 // op's outcome and the set sizes after it, and the access totals the
@@ -24,6 +24,13 @@ import (
 // rewrite of the update paths must reproduce these values exactly;
 // regenerate them only for a deliberate change of the snapshot format
 // or of the paper's access accounting.
+//
+// CShBF_M's rollback counts as refused an insert whose positions
+// include one counter twice at one below its maximum: the first
+// increment saturates it and the second finds it full. A check of
+// every counter before any increment (counted.full) would accept that
+// insert and tally an overflow instead. rollbackOnly pins how many of
+// the member runs' refusals are of that kind.
 func TestCountingUpdateGolden(t *testing.T) {
 	want := map[string]updateGolden{
 		"assoc/w4/plain": {
@@ -122,8 +129,44 @@ func TestCountingUpdateGolden(t *testing.T) {
 			n1: -1, n2: 0, overflows: 17,
 			bReads: 35917, bWrites: 27995, updReads: 47964, updWrites: 47724,
 		},
+		"member/w4/plain": {
+			snapshot: "b7622d5b72bca0b997db4a7c51ba9deaef224ad33b479c55e1cd971cd9827be0",
+			trace:    "4dca2c5323c8e03aa4fdd4cf2a1cc5cb311816c63eeba002978b0353d4842692",
+			outcomes: "ok=3410 sat=1240 over=0 absent=1350",
+
+			n1: 46, n2: 0, overflows: 0,
+			bReads: 0, bWrites: 0, updReads: 0, updWrites: 0,
+			rollbackOnly: 58,
+		},
+		"member/w4/counted": {
+			snapshot: "b7622d5b72bca0b997db4a7c51ba9deaef224ad33b479c55e1cd971cd9827be0",
+			trace:    "4dca2c5323c8e03aa4fdd4cf2a1cc5cb311816c63eeba002978b0353d4842692",
+			outcomes: "ok=3410 sat=1240 over=0 absent=1350",
+
+			n1: 46, n2: 0, overflows: 0,
+			bReads: 0, bWrites: 19045, updReads: 35170, updWrites: 35125,
+			rollbackOnly: 58,
+		},
+		"member/w5/plain": {
+			snapshot: "eaa22d5d83f89d10717096c75c6ab9ed70da03624042da49aea233c9e3636313",
+			trace:    "58d5c4c41c3948b2a08443f571efd0f047f9b2d62cfe8b33a90d090632036b68",
+			outcomes: "ok=4472 sat=718 over=0 absent=810",
+
+			n1: 42, n2: 0, overflows: 0,
+			bReads: 0, bWrites: 0, updReads: 0, updWrites: 0,
+			rollbackOnly: 54,
+		},
+		"member/w5/counted": {
+			snapshot: "eaa22d5d83f89d10717096c75c6ab9ed70da03624042da49aea233c9e3636313",
+			trace:    "58d5c4c41c3948b2a08443f571efd0f047f9b2d62cfe8b33a90d090632036b68",
+			outcomes: "ok=4472 sat=718 over=0 absent=810",
+
+			n1: 42, n2: 0, overflows: 0,
+			bReads: 0, bWrites: 21170, updReads: 40474, updWrites: 40418,
+			rollbackOnly: 54,
+		},
 	}
-	for _, kind := range []string{"assoc", "mult", "mult-unsafe"} {
+	for _, kind := range []string{"assoc", "mult", "mult-unsafe", "member"} {
 		for _, width := range []uint{4, 5} {
 			for _, counted := range []bool{false, true} {
 				name := fmt.Sprintf("%s/w%d/%s", kind, width, map[bool]string{false: "plain", true: "counted"}[counted])
@@ -141,8 +184,9 @@ func TestCountingUpdateGolden(t *testing.T) {
 // updateGolden is one pinned churn run: the sha256 of the final
 // MarshalBinary, the sha256 of the per-op trace (outcome code and set
 // sizes after each op), the outcome tallies, the final set sizes, the
-// counter array's overflow tally, and the reads and writes charged to
-// B's counter and to the update counter.
+// counter array's overflow tally, the reads and writes charged to B's
+// counter and to the update counter, and (CShBF_M only) the refused
+// inserts none of whose counters was full before the insert.
 type updateGolden struct {
 	snapshot, trace     string
 	outcomes            string
@@ -150,6 +194,7 @@ type updateGolden struct {
 	overflows           uint64
 	bReads, bWrites     uint64
 	updReads, updWrites uint64
+	rollbackOnly        int
 }
 
 // outcomeCode maps an update's error to one trace byte.
@@ -190,6 +235,9 @@ func runUpdateGolden(t *testing.T, kind string, width uint, counted bool) update
 		sizes     func() (int, int)
 		overflows func() uint64
 		step      func(op int, e []byte) error
+		// rollbackOnly counts CShBF_M's refused inserts that found no
+		// counter full before they started.
+		rollbackOnly int
 	)
 	const ops = 6000
 	switch kind {
@@ -220,6 +268,37 @@ func runUpdateGolden(t *testing.T, kind string, width uint, counted bool) update
 			default:
 				return a.DeleteS2(e)
 			}
+		}
+	case "member":
+		// k = 8 puts four pairs into m+7 counters, so a key's positions
+		// often share a counter; the first half of the run leans to
+		// inserts, which saturates counters.
+		c, err := NewCountingMembership(m, 8, append(opts, WithMaxOffset(8))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if counted {
+			c.SetUpdateCounter(&updAcc)
+		}
+		snapshot, overflows = c.MarshalBinary, c.counts.Overflows
+		sizes = func() (int, int) { return c.N(), 0 }
+		step = func(op int, e []byte) error {
+			ins := rng.Intn(10) < 6
+			if op > ops/2 {
+				ins = rng.Intn(10) < 4
+			}
+			if !ins {
+				return c.Delete(e)
+			}
+			full := false
+			for _, p := range c.filter.positions(e, nil) {
+				full = full || c.counts.GetUncounted(p) == c.counts.Max()
+			}
+			err := c.Insert(e)
+			if errors.Is(err, ErrCounterSaturated) && !full {
+				rollbackOnly++
+			}
+			return err
 		}
 	default:
 		if kind == "mult-unsafe" {
@@ -265,6 +344,8 @@ func runUpdateGolden(t *testing.T, kind string, width uint, counted bool) update
 		bWrites:   bAcc.Writes(),
 		updReads:  updAcc.Reads(),
 		updWrites: updAcc.Writes(),
+
+		rollbackOnly: rollbackOnly,
 	}
 }
 

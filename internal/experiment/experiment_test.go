@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -22,6 +24,24 @@ func seriesYs(t *testing.T, fig *Figure, name string) []float64 {
 		ys[i] = p.Y
 	}
 	return ys
+}
+
+// checkCSV pins a figure whose series do not depend on timing: the
+// access counts, clear rates, correctness rates and FP rates of a
+// seeded run are deterministic, so the sha256 of the figure's CSV must
+// equal want. A probe or update rewrite that moves one value (one
+// access of one query) fails here. Update want only for a deliberate
+// change of what a figure measures.
+func checkCSV(t *testing.T, fig *Figure, want string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := fig.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("figure %s CSV sha256 %s, want %s:\n%s", fig.ID, got, want, buf.String())
+	}
 }
 
 func TestRunFig3(t *testing.T) {
@@ -86,6 +106,9 @@ func TestRunFig8(t *testing.T) {
 	if len(figs) != 3 {
 		t.Fatalf("got %d figures", len(figs))
 	}
+	checkCSV(t, figs[0], "aed2d992f6cdd874dce2da252e8c88fe9100af514de7faf3eeec144af09fe784")
+	checkCSV(t, figs[1], "2fcd17ad43e92584134f9f4427e5e61e49c1bad5fdb0d60377e1bd2485d75baa")
+	checkCSV(t, figs[2], "57b09fa7d000b2a192ccf684858778f3a5e0eed0e4f87754a3b0fd2a741321d3")
 	for _, fig := range figs {
 		bf := seriesYs(t, fig, "BF")
 		sh := seriesYs(t, fig, "ShBF_M")
@@ -142,6 +165,8 @@ func TestRunFig10(t *testing.T) {
 	if len(figs) != 3 {
 		t.Fatalf("got %d figures", len(figs))
 	}
+	checkCSV(t, figs[0], "797726e78f486b373c2f4fabe57fca2e7043ea306cfd9a65ea8583cf50ecd42e")
+	checkCSV(t, figs[1], "7485194c0f4303b3a3aa5d2baf87a451ffc03098482305e70fd3443b759938dc")
 	clearI := seriesYs(t, figs[0], "iBF sim")
 	clearIT := seriesYs(t, figs[0], "iBF theory")
 	clearS := seriesYs(t, figs[0], "ShBF_A sim")
@@ -191,6 +216,8 @@ func TestRunFig11(t *testing.T) {
 	if len(figs) != 3 {
 		t.Fatalf("got %d figures", len(figs))
 	}
+	checkCSV(t, figs[0], "4d8aa7466adacb4432c53ea0bb76ae79d04d6907b3544175febf22d6fdc4df45")
+	checkCSV(t, figs[1], "ec82ba14bc9071de7e6df43dcc1f9a3d1bf96bd08bb1e457dfe6047e4b65aede")
 	crT := seriesYs(t, figs[0], "ShBF_X theory")
 	crS := seriesYs(t, figs[0], "ShBF_X sim")
 	crSp := seriesYs(t, figs[0], "Spectral BF")
@@ -223,6 +250,8 @@ func TestRunExtensions(t *testing.T) {
 	if len(gen) != 2 {
 		t.Fatalf("general ablation: %d figures", len(gen))
 	}
+	checkCSV(t, gen[0], "d03e63ab0a224a4bd91bbac80f479a49711a782dbd848f28a0262e97a7370ede")
+	checkCSV(t, gen[1], "be8ac25307f186b8b6ecfd2478e0e9d16db890525f9da4bd8b906b8cf4f58f65")
 	sim := seriesYs(t, gen[0], "t-shift sim")
 	theory := seriesYs(t, gen[0], "t-shift theory")
 	for i := range sim {
@@ -235,6 +264,7 @@ func TestRunExtensions(t *testing.T) {
 	}
 
 	scm := RunSCMAblation(quickCfg)
+	checkCSV(t, scm[0], "5f51baaa8bb50b6971f2502d41e0917b45717fd8b6415a3f18517aa0766082de")
 	errCM := seriesYs(t, scm[0], "CM sketch")
 	errSCM := seriesYs(t, scm[0], "SCM sketch")
 	spCM := seriesYs(t, scm[1], "CM sketch")
@@ -261,6 +291,7 @@ func TestRunExtensions(t *testing.T) {
 	}
 
 	upd := RunUpdateAblation(quickCfg)
+	checkCSV(t, upd[0], "dda4d60fdcaa63f142f58b48b5ae876377669d9bbf87f2457f3e511b3b0bbd39")
 	safe := seriesYs(t, upd[0], "safe (5.3.2)")
 	for i, v := range safe {
 		if v != 0 {
@@ -272,6 +303,7 @@ func TestRunExtensions(t *testing.T) {
 	if len(zoo) != 2 {
 		t.Fatalf("zoo: %d figures", len(zoo))
 	}
+	checkCSV(t, zoo[0], "9baa646cf56d82ca6100244d3cfaa33991900c764801ac459d938b9f0c76dc14")
 }
 
 func TestRunMultiSetAblation(t *testing.T) {
@@ -279,6 +311,9 @@ func TestRunMultiSetAblation(t *testing.T) {
 	if len(figs) != 3 {
 		t.Fatalf("got %d figures", len(figs))
 	}
+	checkCSV(t, figs[0], "79d6e01c94d900ddaf088bc447cd710e0c7d05bbfa938b1445f3228a42197ed5")
+	checkCSV(t, figs[1], "e46e020848c815c136da0a1ad47b552e425d3825c12b575e4f1d4e33b07c4971")
+	checkCSV(t, figs[2], "bf2b0450f70c9a896ba141db6f8b735212377d7476a6acce43c0cb995d93aa9b")
 	// Disjoint clear rate: matches the (1−0.5^k)^{R−1} theory; CodedBF
 	// is competitive in this regime (its weaknesses are accesses and
 	// overlap, asserted below).
@@ -316,6 +351,8 @@ func TestRunSkewAblation(t *testing.T) {
 	if len(figs) != 2 {
 		t.Fatalf("got %d figures", len(figs))
 	}
+	checkCSV(t, figs[0], "be0a0d36305065cb29d56d1a6658e860098d8f583a3881e3f7b4a6b42b57a8f7")
+	checkCSV(t, figs[1], "257234060a18094348f941ec460d1cea0497de9924a7e82163213c0ad3ce6a0d")
 	sh := seriesYs(t, figs[0], "ShBF_X")
 	sp := seriesYs(t, figs[0], "Spectral BF")
 	// ShBF_X stays accurate at every skew and beats the counter scheme.
