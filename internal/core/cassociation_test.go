@@ -214,11 +214,7 @@ func TestCountingAssociationChurn(t *testing.T) {
 
 func BenchmarkCountingAssociationInsertS1(b *testing.B) {
 	a, _ := NewCountingAssociation(1<<20, 8, WithCounterWidth(8))
-	elems := genElements(65536, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = a.InsertS1(elems[i&65535])
-	}
+	benchInserts(b, genElements(65536, 1), a.InsertS1, a.DeleteS1)
 }
 
 // TestCountingAssociationSaturationLeavesFilterUnchanged: an insert

@@ -211,9 +211,30 @@ func TestCountingMembershipInvalidConfig(t *testing.T) {
 
 func BenchmarkCountingMembershipInsert(b *testing.B) {
 	c, _ := NewCountingMembership(1<<20, 8, WithCounterWidth(8))
-	elems := genElements(1024, 1)
+	benchInserts(b, genElements(1024, 1), c.Insert, c.Delete)
+}
+
+// benchInserts times b.N calls of insert over keys in turn. Each pass
+// over keys inserts every key once; before the next pass, with the
+// timer stopped, remove deletes them all, so the filter never holds
+// more than len(keys) keys and no timed insert is refused or a no-op
+// at any b.N.
+func benchInserts(b *testing.B, keys [][]byte, insert, remove func([]byte) error) {
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.Insert(elems[i&1023])
+		j := i % len(keys)
+		if j == 0 && i > 0 {
+			b.StopTimer()
+			for _, e := range keys {
+				if err := remove(e); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+		}
+		if err := insert(keys[j]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -220,11 +220,7 @@ func TestCountingMultiplicityUnsafeModeCanFalseNegative(t *testing.T) {
 
 func BenchmarkCountingMultiplicityInsert(b *testing.B) {
 	f, _ := NewCountingMultiplicity(1<<20, 8, 57, WithCounterWidth(8))
-	elems := genElements(65536, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = f.Insert(elems[i%65536])
-	}
+	benchInserts(b, genElements(65536, 1), f.Insert, f.Delete)
 }
 
 // TestCountingMultiplicityDeleteChecksDestinationHeadroom: a delete
