@@ -4,12 +4,16 @@
 //
 //  1. Windowed reads. ShBF queries read w̄ (or c) consecutive bits
 //     starting at an arbitrary position and inspect where the 1s fall
-//     (Figure 1). Window returns up to 64 consecutive bits as a uint64.
+//     (Figure 1). WindowUncounted returns up to 64 consecutive bits as
+//     a uint64, and OrWindowUncounted sets them.
 //
 //  2. Memory-access accounting. The paper's Figures 8, 10(b) and 11(b)
-//     report "# memory accesses per query"; the vector charges an
-//     attached memmodel.Counter per the byte-addressable model of
-//     Section 3.1 (one access per ≤64-bit window, one per isolated bit).
+//     report "# memory accesses per query" under the byte-addressable
+//     model of Section 3.1. A vector carries the memmodel.Counter that
+//     measures it. Its single-bit steps (Set, Clear, Bit) charge the
+//     counter themselves; the window forms charge nothing, and the
+//     filters that read windows bill memmodel.AccessCount per window
+//     read to Counter after the probe.
 //
 // Vectors are created with explicit slack so shifted positions
 // h_i(e)%m + o(e) never wrap: the paper "extends the number of bits in
@@ -37,8 +41,9 @@ func New(n int) *Vector {
 	if n <= 0 {
 		panic(fmt.Sprintf("bitvec: size %d must be positive", n))
 	}
-	// One guard word beyond the last data word lets Window read two
-	// words unconditionally (branchless) at every in-range position.
+	// One guard word beyond the last data word lets WindowUncounted
+	// read two words unconditionally (branchless) at every in-range
+	// position.
 	return &Vector{
 		words: make([]uint64, (n+63)/64+1),
 		n:     n,
@@ -58,8 +63,9 @@ func Borrow(words []uint64, n int) (Vector, error) {
 	return Vector{words: words[:need:need], n: n}, nil
 }
 
-// SetCounter attaches an access counter; nil detaches. Read and write
-// paths charge it per the Section 3.1 model.
+// SetCounter attaches an access counter; nil detaches. Set, Clear and
+// Bit charge it per the Section 3.1 model, and the filters bill their
+// window reads and writes to it.
 func (v *Vector) SetCounter(c *memmodel.Counter) { v.acc = c }
 
 // Counter returns the attached access counter (possibly nil).
@@ -113,43 +119,18 @@ func (v *Vector) Peek(i int) bool {
 	return v.words[i>>6]&(1<<uint(i&63)) != 0
 }
 
-// Window returns the width consecutive bits starting at pos, packed into
-// the low bits of a uint64 (bit pos at bit 0). width must be in [1, 64]
-// and the window must lie inside the vector. It charges
-// memmodel.AccessCount(pos, width) read accesses — exactly 1 for the
-// paper's w̄ ≤ w−7 windows.
-func (v *Vector) Window(pos, width int) uint64 {
-	if width <= 0 || width > 64 {
-		panic(fmt.Sprintf("bitvec: window width %d out of range [1,64]", width))
-	}
-	if pos < 0 || pos+width > v.n {
-		panic(fmt.Sprintf("bitvec: window [%d,%d) out of range [0,%d)", pos, pos+width, v.n))
-	}
-	if v.acc != nil {
-		v.acc.AddReads(memmodel.AccessCount(pos, width))
-	}
-
-	// Branchless two-word read: the guard word makes words[wi+1] always
-	// addressable, and Go defines x << 64 as 0, so the second term
-	// vanishes when the window is word-aligned (off = 0).
-	wi, off := pos>>6, uint(pos&63)
-	out := v.words[wi]>>off | v.words[wi+1]<<(64-off)
-	if width < 64 {
-		out &= (1 << uint(width)) - 1
-	}
-	return out
-}
-
-// WindowUncounted is the hot-path form of Window: the same two-word
-// read, but small enough to inline — no access accounting and no
-// explicit range validation. mask is the precomputed width mask
-// (1<<width − 1; ^0 for width 64). Callers must (a) hold positions
-// that are in range by construction — every filter derives them as
-// Reduce(·, m) + offset ≤ Len — and (b) use Window instead whenever an
-// access counter may be attached, or the paper's access figures go
-// silently uncounted. Memory safety is independent of (a): a wild
-// position faults the slice bounds check rather than reading foreign
-// memory.
+// WindowUncounted returns the consecutive bits starting at pos, packed
+// into the low bits of a uint64 (bit pos at bit 0) and masked by mask,
+// the window-width mask (1<<width − 1; ^0 for width 64). It is one
+// branchless two-word read, small enough to inline: the guard word
+// makes words[wi+1] always addressable, and Go defines x << 64 as 0,
+// so the second word's share vanishes when pos is word-aligned. It
+// validates no range and charges no access. Callers hold positions
+// that are in range by construction (every filter derives them as
+// Reduce(·, m) + offset ≤ Len), and a filter with a counter attached
+// bills memmodel.AccessCount(pos, width) for each window it read. A
+// wild position faults the slice bounds check rather than reading
+// foreign memory.
 func (v *Vector) WindowUncounted(pos int, mask uint64) uint64 {
 	wi, off := pos>>6, uint(pos&63)
 	return (v.words[wi]>>off | v.words[wi+1]<<(64-off)) & mask
@@ -159,10 +140,10 @@ func (v *Vector) WindowUncounted(pos int, mask uint64) uint64 {
 // pos+b for every set bit b of w, with the same two-word access and no
 // branch. The second word is always written; when pos is word-aligned
 // its share of w is 0 (Go defines x >> 64 as 0), so it is unchanged.
-// It charges no access, so the same two caller rules apply: every set
-// bit of w must land inside the vector (pos + 63 − LeadingZeros64(w)
-// < Len), which keeps the guard word zero, and callers must use Set
-// instead whenever an access counter may be attached.
+// Every set bit of w must land inside the vector (pos + 63 −
+// LeadingZeros64(w) < Len), which keeps the guard word zero. It
+// charges no access: a filter with a counter attached bills one write
+// per bit it set, as Set would.
 func (v *Vector) OrWindowUncounted(pos int, w uint64) {
 	wi, off := pos>>6, uint(pos&63)
 	v.words[wi] |= w << off

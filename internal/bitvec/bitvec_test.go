@@ -63,15 +63,11 @@ func TestUncountedSetClearMatchCharged(t *testing.T) {
 func TestBoundsPanics(t *testing.T) {
 	v := New(100)
 	for name, f := range map[string]func(){
-		"Set(-1)":       func() { v.Set(-1) },
-		"Set(100)":      func() { v.Set(100) },
-		"Bit(100)":      func() { v.Bit(100) },
-		"Clear(-1)":     func() { v.Clear(-1) },
-		"Window(90,20)": func() { v.Window(90, 20) },
-		"Window(0,0)":   func() { v.Window(0, 0) },
-		"Window(0,65)":  func() { v.Window(0, 65) },
-		"Window(-1,4)":  func() { v.Window(-1, 4) },
-		"New(0)":        func() { New(0) },
+		"Set(-1)":   func() { v.Set(-1) },
+		"Set(100)":  func() { v.Set(100) },
+		"Bit(100)":  func() { v.Bit(100) },
+		"Clear(-1)": func() { v.Clear(-1) },
+		"New(0)":    func() { New(0) },
 	} {
 		func() {
 			defer func() {
@@ -84,27 +80,27 @@ func TestBoundsPanics(t *testing.T) {
 	}
 }
 
+// TestWindowMatchesNaiveBits: bit j of WindowUncounted(pos, mask) is
+// Peek(pos+j) for every width from 1 to 64, at word-aligned positions,
+// at positions whose window crosses a word boundary, and at the last
+// window of the vector, where the guard word is read.
 func TestWindowMatchesNaiveBits(t *testing.T) {
-	// Property: Window(pos, width) bit j == Peek(pos+j).
 	const n = 1024
 	v := New(n)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < n/3; i++ {
 		v.Set(rng.Intn(n))
 	}
-	f := func(pos uint16, width uint8) bool {
-		w := int(width)%64 + 1
-		p := int(pos) % (n - w)
-		win := v.Window(p, w)
-		for j := 0; j < w; j++ {
-			if (win>>uint(j))&1 == 1 != v.Peek(p+j) {
-				return false
+	for w := 1; w <= 64; w++ {
+		mask := ^uint64(0) >> (64 - w)
+		for _, p := range []int{0, 1, 7, 60, 63, 64, 65, 127, 500, n - w} {
+			win := v.WindowUncounted(p, mask)
+			for j := 0; j < 64; j++ {
+				if want := j < w && v.Peek(p+j); (win>>uint(j))&1 == 1 != want {
+					t.Fatalf("WindowUncounted(%d) at width %d: bit %d is %d, Peek(%d) is %v", p, w, j, win>>uint(j)&1, p+j, want)
+				}
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -145,37 +141,6 @@ func TestOrWindowMatchesSet(t *testing.T) {
 	}
 }
 
-func TestWindowCrossesWordBoundary(t *testing.T) {
-	v := New(256)
-	v.Set(60)
-	v.Set(63)
-	v.Set(64)
-	v.Set(70)
-	win := v.Window(60, 16)
-	want := uint64(1)<<0 | 1<<3 | 1<<4 | 1<<10
-	if win != want {
-		t.Fatalf("Window(60,16) = %b, want %b", win, want)
-	}
-}
-
-func TestWindowFullWord(t *testing.T) {
-	v := New(128)
-	for i := 0; i < 64; i += 2 {
-		v.Set(i)
-	}
-	if got := v.Window(0, 64); got != 0x5555555555555555 {
-		t.Fatalf("Window(0,64) = %x", got)
-	}
-	// Unaligned full-word window.
-	if got := v.Window(1, 64); got != 0x2aaaaaaaaaaaaaaa>>1|0<<63 {
-		// bits 1..64: pattern shifted; bit 64 of vector is 0.
-		want := uint64(0x5555555555555555) >> 1
-		if got != want {
-			t.Fatalf("Window(1,64) = %x, want %x", got, want)
-		}
-	}
-}
-
 func TestAccessAccounting(t *testing.T) {
 	var c memmodel.Counter
 	v := New(1000)
@@ -190,21 +155,11 @@ func TestAccessAccounting(t *testing.T) {
 		t.Fatalf("after Set+Bit: %v", &c)
 	}
 
-	c.Reset()
-	v.Window(3, 57) // paper's w̄ window: exactly 1 access
-	if c.Reads() != 1 {
-		t.Fatalf("w̄ window cost %d reads, want 1", c.Reads())
-	}
-
-	c.Reset()
-	v.Window(1, 64) // byte span 9 bytes → 2 accesses
-	if c.Reads() != 2 {
-		t.Fatalf("unaligned 64-bit window cost %d reads, want 2", c.Reads())
-	}
-
-	// Peek and instrumentation never charge.
+	// Peek, the window forms and instrumentation never charge.
 	c.Reset()
 	v.Peek(10)
+	v.WindowUncounted(1, ^uint64(0))
+	v.OrWindowUncounted(1, 1<<57-1)
 	v.OnesCount()
 	v.FillRatio()
 	if c.Total() != 0 {
@@ -214,9 +169,9 @@ func TestAccessAccounting(t *testing.T) {
 
 func TestNilCounterSafe(t *testing.T) {
 	v := New(64)
-	v.Set(1)
+	v.Set(1) // must not panic with no counter attached
 	v.Bit(1)
-	v.Window(0, 10) // must not panic with no counter attached
+	v.Clear(1)
 }
 
 func TestFillRatioAndReset(t *testing.T) {
@@ -289,7 +244,7 @@ func BenchmarkWindow57(b *testing.B) {
 	v := New(1 << 20)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = v.Window((i*2654435761)%(1<<20-57), 57)
+		_ = v.WindowUncounted((i*2654435761)%(1<<20-57), 1<<57-1)
 	}
 }
 

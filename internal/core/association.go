@@ -88,15 +88,48 @@ func (r Region) Contains(truth Region) bool { return r&truth != 0 }
 // region: its seven outcomes are all sound, merely sometimes incomplete
 // (Section 4.2).
 type Association struct {
+	assocQuery
+	n1, n2 int // |S1|, |S2| distinct
+	nBoth  int // |S1 ∩ S2|
+}
+
+// assocQuery is the query side ShBF_A and CShBF_A share: the bit array
+// B, its geometry and hash family, the region offsets and the probe.
+type assocQuery struct {
 	bits      *bitvec.Vector
 	m         int
 	k         int
 	wbar      int
-	halfRange int // (w̄−1)/2, the range of each offset component
+	halfRange int    // (w̄−1)/2, the range of each offset component
+	winMask   uint64 // precomputed w̄-bit window mask for the uncounted read
 	fam       *hashing.Family
 	seed      uint64
-	n1, n2    int // |S1|, |S2| distinct
-	nBoth     int // |S1 ∩ S2|
+}
+
+// newAssocQuery checks ShBF_A's geometry and returns its query side
+// over an empty (m+w̄−1)-bit B, with cfg's access counter attached.
+func newAssocQuery(m, k int, cfg config) (assocQuery, error) {
+	if m <= 0 {
+		return assocQuery{}, fmt.Errorf("core: m = %d must be positive", m)
+	}
+	if k < 1 {
+		return assocQuery{}, fmt.Errorf("core: k = %d must be ≥ 1", k)
+	}
+	if cfg.maxOffset < 3 || cfg.maxOffset > 64 {
+		return assocQuery{}, fmt.Errorf("core: max offset w̄ = %d out of range [3,64] (association needs two offset components)", cfg.maxOffset)
+	}
+	q := assocQuery{
+		bits:      bitvec.New(m + cfg.maxOffset - 1),
+		m:         m,
+		k:         k,
+		wbar:      cfg.maxOffset,
+		halfRange: (cfg.maxOffset - 1) / 2,
+		winMask:   ^uint64(0) >> (64 - uint(cfg.maxOffset)),
+		fam:       hashing.NewFamily(k+2, cfg.seed),
+		seed:      cfg.seed,
+	}
+	q.bits.SetCounter(cfg.counter)
+	return q, nil
 }
 
 // BuildAssociation constructs ShBF_A from the two sets. Duplicates
@@ -108,25 +141,11 @@ func BuildAssociation(s1, s2 [][]byte, m, k int, opts ...Option) (*Association, 
 	if err != nil {
 		return nil, err
 	}
-	if m <= 0 {
-		return nil, fmt.Errorf("core: m = %d must be positive", m)
+	q, err := newAssocQuery(m, k, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: k = %d must be ≥ 1", k)
-	}
-	if cfg.maxOffset < 3 || cfg.maxOffset > 64 {
-		return nil, fmt.Errorf("core: max offset w̄ = %d out of range [3,64] (association needs two offset components)", cfg.maxOffset)
-	}
-	a := &Association{
-		bits:      bitvec.New(m + cfg.maxOffset - 1),
-		m:         m,
-		k:         k,
-		wbar:      cfg.maxOffset,
-		halfRange: (cfg.maxOffset - 1) / 2,
-		fam:       hashing.NewFamily(k+2, cfg.seed),
-		seed:      cfg.seed,
-	}
-	a.bits.SetCounter(cfg.counter)
+	a := &Association{assocQuery: q}
 
 	// Step 1 (Section 4.1): hash tables over the raw sets.
 	t1 := hashtable.New(cfg.seed + 1)
@@ -166,13 +185,13 @@ func BuildAssociation(s1, s2 [][]byte, m, k int, opts ...Option) (*Association, 
 }
 
 // offset1 computes o1(e) ∈ [1, (w̄−1)/2] from e's digest.
-func (a *Association) offset1(d hashing.Digest) int {
-	return hashing.Reduce(a.fam.FromDigest(a.k, d), a.halfRange) + 1
+func (q *assocQuery) offset1(d hashing.Digest) int {
+	return hashing.Reduce(q.fam.FromDigest(q.k, d), q.halfRange) + 1
 }
 
 // offset2 computes o2(e) = o1(e) + h_{k+2}(e)%((w̄−1)/2) + 1 ∈ [2, w̄−1].
-func (a *Association) offset2(d hashing.Digest) int {
-	return a.offset1(d) + hashing.Reduce(a.fam.FromDigest(a.k+1, d), a.halfRange) + 1
+func (q *assocQuery) offset2(d hashing.Digest) int {
+	return q.offset1(d) + hashing.Reduce(q.fam.FromDigest(q.k+1, d), q.halfRange) + 1
 }
 
 // encode sets the k bits B[h_i(e)%m + o] for the element digested as d.
@@ -182,14 +201,19 @@ func (a *Association) encode(d hashing.Digest, o int) {
 	}
 }
 
-// M, K, and MaxOffset report the construction parameters; N1, N2 and
-// NBoth the distinct set sizes observed at build time.
-func (a *Association) M() int         { return a.m }
-func (a *Association) K() int         { return a.k }
-func (a *Association) MaxOffset() int { return a.wbar }
-func (a *Association) N1() int        { return a.n1 }
-func (a *Association) N2() int        { return a.n2 }
-func (a *Association) NBoth() int     { return a.nBoth }
+// M, K and MaxOffset report the construction parameters.
+func (q *assocQuery) M() int         { return q.m }
+func (q *assocQuery) K() int         { return q.k }
+func (q *assocQuery) MaxOffset() int { return q.wbar }
+
+// FillRatio returns the fraction of set bits in B.
+func (q *assocQuery) FillRatio() float64 { return q.bits.FillRatio() }
+
+// N1, N2 and NBoth report the distinct set sizes observed at build
+// time.
+func (a *Association) N1() int    { return a.n1 }
+func (a *Association) N2() int    { return a.n2 }
+func (a *Association) NBoth() int { return a.nBoth }
 
 // NDistinct returns n′ = |S1 ∪ S2|, the quantity the paper sizes m by
 // (m = n′·k/ln 2 at the optimum, Table 2).
@@ -198,9 +222,6 @@ func (a *Association) NDistinct() int { return a.n1 + a.n2 - a.nBoth }
 // SizeBytes returns the bit-array footprint.
 func (a *Association) SizeBytes() int { return a.bits.SizeBytes() }
 
-// FillRatio returns the fraction of set bits.
-func (a *Association) FillRatio() float64 { return a.bits.FillRatio() }
-
 // Query returns the candidate-region mask for e. For e ∈ S1 ∪ S2 the
 // true region is always among the candidates (no false negatives) and
 // any of the seven Section 4.2 outcomes may be returned; for other
@@ -208,27 +229,38 @@ func (a *Association) FillRatio() float64 { return a.bits.FillRatio() }
 // then each of the ≤ k window reads costs one mix and one memory
 // access and checks all three offsets at once; the scan stops early
 // once no candidate survives.
-func (a *Association) Query(e []byte) Region {
-	return a.queryDigest(a.fam.Digest(e))
+func (q *assocQuery) Query(e []byte) Region {
+	return q.QueryDigest(q.fam.Digest(e))
 }
 
-func (a *Association) queryDigest(d hashing.Digest) Region {
-	o1 := a.offset1(d)
-	o2 := o1 + hashing.Reduce(a.fam.FromDigest(a.k+1, d), a.halfRange) + 1
+// QueryDigest answers Query for the element whose digest is d.
+func (q *assocQuery) QueryDigest(d hashing.Digest) Region {
+	cand, read := q.probe(d)
+	if acc := q.bits.Counter(); acc != nil {
+		billWindows(acc, q.fam, d, read, q.m, q.wbar)
+	}
+	return cand
+}
 
+// probe reads d's windows until no candidate survives, and returns the
+// candidates and how many windows it read.
+func (q *assocQuery) probe(d hashing.Digest) (Region, int) {
+	o1 := q.offset1(d)
+	o2 := o1 + hashing.Reduce(q.fam.FromDigest(q.k+1, d), q.halfRange) + 1
+	fam, bits, m, winMask := q.fam, q.bits, q.m, q.winMask
 	cand := RegionS1Only | RegionBoth | RegionS2Only
-	for i := 0; i < a.k && cand != RegionNone; i++ {
-		win := a.bits.Window(a.fam.ModFromDigest(i, d, a.m), a.wbar)
+	i := 0
+	for k := q.k; i < k && cand != RegionNone; i++ {
+		win := bits.WindowUncounted(fam.ModFromDigest(i, d, m), winMask)
 		// Branchless candidate pruning: surviving regions are exactly
 		// those whose offset bit is set in the window (the bit tests are
 		// data-dependent 50/50 coin flips at the optimal fill, so
 		// branching on them would mispredict constantly).
-		survived := Region(win&1) |
+		cand &= Region(win&1) |
 			Region(win>>uint(o1)&1)<<1 |
 			Region(win>>uint(o2)&1)<<2
-		cand &= survived
 	}
-	return cand
+	return cand, i
 }
 
 // HashOpsPerQuery returns k+2, the paper's Table 2 hashing budget.

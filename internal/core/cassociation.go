@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-
-	"shbf/internal/bitvec"
 	"shbf/internal/counters"
 	"shbf/internal/hashing"
 	"shbf/internal/hashtable"
@@ -27,16 +24,10 @@ import (
 // the new one added; CountingAssociation completes the paper's sketch
 // with exactly that re-encoding.
 type CountingAssociation struct {
-	counted                    // B, C and the update steps
-	sets      *hashtable.Table // element → inS1|inS2
-	n1, n2    int
-	m         int
-	k         int
-	wbar      int
-	halfRange int
-	winMask   uint64 // precomputed w̄-bit window mask for the uncounted read
-	fam       *hashing.Family
-	seed      uint64
+	assocQuery                  // B and the probe, shared with ShBF_A
+	counted                     // C and the update steps
+	sets       *hashtable.Table // element → inS1|inS2
+	n1, n2     int
 }
 
 // Membership bits of a sets value.
@@ -51,29 +42,15 @@ func NewCountingAssociation(m, k int, opts ...Option) (*CountingAssociation, err
 	if err != nil {
 		return nil, err
 	}
-	if m <= 0 {
-		return nil, fmt.Errorf("core: m = %d must be positive", m)
+	q, err := newAssocQuery(m, k, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: k = %d must be ≥ 1", k)
-	}
-	if cfg.maxOffset < 3 || cfg.maxOffset > 64 {
-		return nil, fmt.Errorf("core: max offset w̄ = %d out of range [3,64]", cfg.maxOffset)
-	}
-	total := m + cfg.maxOffset - 1
-	a := &CountingAssociation{
-		counted:   counted{bits: bitvec.New(total), counts: counters.New(total, cfg.counterWidth)},
-		sets:      hashtable.New(cfg.seed + 1),
-		m:         m,
-		k:         k,
-		wbar:      cfg.maxOffset,
-		halfRange: (cfg.maxOffset - 1) / 2,
-		winMask:   ^uint64(0) >> (64 - uint(cfg.maxOffset)),
-		fam:       hashing.NewFamily(k+2, cfg.seed),
-		seed:      cfg.seed,
-	}
-	a.bits.SetCounter(cfg.counter)
-	return a, nil
+	return &CountingAssociation{
+		assocQuery: q,
+		counted:    counted{counts: counters.New(q.bits.Len(), cfg.counterWidth)},
+		sets:       hashtable.New(cfg.seed + 1),
+	}, nil
 }
 
 // SetUpdateCounter attaches a memory-access counter to the off-chip
@@ -158,10 +135,10 @@ func (a *CountingAssociation) update(e []byte, d hashing.Digest, bit uint64, ins
 		}
 	}
 	if to != RegionNone {
-		a.add(pos, toOff)
+		a.add(a.bits, pos, toOff)
 	}
 	if from != RegionNone {
-		a.remove(pos, a.offsetFor(d, from))
+		a.remove(a.bits, pos, a.offsetFor(d, from))
 	}
 	if next == 0 {
 		a.sets.Remove(slot)
@@ -208,53 +185,4 @@ func (a *CountingAssociation) offsetFor(d hashing.Digest, r Region) int {
 	default: // RegionS2Only
 		return a.offset2(d)
 	}
-}
-
-func (a *CountingAssociation) offset1(d hashing.Digest) int {
-	return hashing.Reduce(a.fam.FromDigest(a.k, d), a.halfRange) + 1
-}
-
-func (a *CountingAssociation) offset2(d hashing.Digest) int {
-	return a.offset1(d) + hashing.Reduce(a.fam.FromDigest(a.k+1, d), a.halfRange) + 1
-}
-
-// Query returns the candidate-region mask for e from the bit array B,
-// with the same semantics as Association.Query.
-func (a *CountingAssociation) Query(e []byte) Region {
-	return a.QueryDigest(a.fam.Digest(e))
-}
-
-// QueryDigest answers Query for the element whose digest is d. Two
-// loops, one semantics, as in Membership.ContainsDigest: the inlinable
-// uncounted window read when no access counter is attached, the counted
-// Window otherwise. Keep the loop bodies in lockstep.
-func (a *CountingAssociation) QueryDigest(d hashing.Digest) Region {
-	o1 := a.offset1(d)
-	o2 := o1 + hashing.Reduce(a.fam.FromDigest(a.k+1, d), a.halfRange) + 1
-	if a.bits.Counter() != nil {
-		return a.queryDigestCounted(d, o1, o2)
-	}
-	fam, bits, m, winMask := a.fam, a.bits, a.m, a.winMask
-	cand := RegionS1Only | RegionBoth | RegionS2Only
-	for i, k := 0, a.k; i < k && cand != RegionNone; i++ {
-		win := bits.WindowUncounted(fam.ModFromDigest(i, d, m), winMask)
-		// Branchless pruning; see Association.Query.
-		survived := Region(win&1) |
-			Region(win>>uint(o1)&1)<<1 |
-			Region(win>>uint(o2)&1)<<2
-		cand &= survived
-	}
-	return cand
-}
-
-func (a *CountingAssociation) queryDigestCounted(d hashing.Digest, o1, o2 int) Region {
-	cand := RegionS1Only | RegionBoth | RegionS2Only
-	for i := 0; i < a.k && cand != RegionNone; i++ {
-		win := a.bits.Window(a.fam.ModFromDigest(i, d, a.m), a.wbar)
-		survived := Region(win&1) |
-			Region(win>>uint(o1)&1)<<1 |
-			Region(win>>uint(o2)&1)<<2
-		cand &= survived
-	}
-	return cand
 }

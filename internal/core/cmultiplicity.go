@@ -1,10 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math/bits"
-
-	"shbf/internal/bitvec"
 	"shbf/internal/counters"
 	"shbf/internal/hashing"
 	"shbf/internal/hashtable"
@@ -31,13 +27,9 @@ import (
 // false negatives — the failure mode the paper warns about and the
 // reason 5.3.2 exists. The mode is kept for the ablation experiment.
 type CountingMultiplicity struct {
-	counted                  // B, C and the update steps
-	table   *hashtable.Table // nil in unsafe mode
-	m       int
-	k       int
-	c       int
-	fam     *hashing.Family
-	seed    uint64
+	multQuery                  // B and the probe, shared with ShBF_X
+	counted                    // C and the update steps
+	table     *hashtable.Table // nil in unsafe mode
 }
 
 // NewCountingMultiplicity returns an empty CShBF_X for counts in [1, c].
@@ -46,27 +38,17 @@ func NewCountingMultiplicity(m, k, c int, opts ...Option) (*CountingMultiplicity
 	if err != nil {
 		return nil, err
 	}
-	if m <= 0 {
-		return nil, fmt.Errorf("core: m = %d must be positive", m)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: k = %d must be ≥ 1", k)
-	}
-	if c < 1 || c > 64 {
-		return nil, fmt.Errorf("core: max multiplicity c = %d out of range [1,64]", c)
+	q, err := newMultQuery(m, k, c, cfg)
+	if err != nil {
+		return nil, err
 	}
 	f := &CountingMultiplicity{
-		counted: counted{bits: bitvec.New(m + c - 1), counts: counters.New(m+c-1, cfg.counterWidth)},
-		m:       m,
-		k:       k,
-		c:       c,
-		fam:     hashing.NewFamily(k, cfg.seed),
-		seed:    cfg.seed,
+		multQuery: q,
+		counted:   counted{counts: counters.New(q.bits.Len(), cfg.counterWidth)},
 	}
 	if !cfg.unsafeUpdate {
 		f.table = hashtable.New(cfg.seed + 3)
 	}
-	f.bits.SetCounter(cfg.counter)
 	return f, nil
 }
 
@@ -82,9 +64,6 @@ func (f *CountingMultiplicity) SetUpdateCounter(mc *memmodel.Counter) {
 
 // Unsafe reports whether the filter runs in the Section 5.3.1 mode.
 func (f *CountingMultiplicity) Unsafe() bool { return f.table == nil }
-
-// C returns the maximum multiplicity.
-func (f *CountingMultiplicity) C() int { return f.c }
 
 // Insert increments e's multiplicity. It returns ErrCountOverflow when
 // the multiplicity would exceed c, and ErrCounterSaturated when a
@@ -156,49 +135,12 @@ func (f *CountingMultiplicity) move(d hashing.Digest, z, step int) error {
 		return ErrCounterSaturated
 	}
 	if z > 0 {
-		f.remove(pos, z-1)
+		f.remove(f.bits, pos, z-1)
 	}
 	if to > 0 {
-		f.add(pos, to-1)
+		f.add(f.bits, pos, to-1)
 	}
 	return nil
-}
-
-// candidateMask intersects the k c-bit windows over B for the element
-// digested as d. Two loops, one semantics, as in
-// Membership.ContainsDigest: the inlinable uncounted window read when
-// no access counter is attached, the counted Window otherwise. Keep
-// the loop bodies in lockstep.
-func (f *CountingMultiplicity) candidateMask(d hashing.Digest) uint64 {
-	all := ^uint64(0) >> (64 - uint(f.c))
-	if f.bits.Counter() != nil {
-		cand := all
-		for i := 0; i < f.k && cand != 0; i++ {
-			cand &= f.bits.Window(f.fam.ModFromDigest(i, d, f.m), f.c)
-		}
-		return cand
-	}
-	fam, bits, m := f.fam, f.bits, f.m
-	cand := all
-	for i, k := 0, f.k; i < k && cand != 0; i++ {
-		cand &= bits.WindowUncounted(fam.ModFromDigest(i, d, m), all)
-	}
-	return cand
-}
-
-// Count returns the reported multiplicity of e (largest candidate, 0 if
-// absent), reading only the on-chip array B.
-func (f *CountingMultiplicity) Count(e []byte) int {
-	return f.CountDigest(f.fam.Digest(e))
-}
-
-// CountDigest answers Count for the element whose digest is d.
-func (f *CountingMultiplicity) CountDigest(d hashing.Digest) int {
-	cand := f.candidateMask(d)
-	if cand == 0 {
-		return 0
-	}
-	return 64 - bits.LeadingZeros64(cand)
 }
 
 // ExactCount returns e's true multiplicity from the backing hash table.

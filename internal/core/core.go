@@ -225,9 +225,9 @@ func WithMaxOffset(wbar int) Option {
 	return Option{id: optMaxOffset, apply: func(c *config) { c.maxOffset = wbar }}
 }
 
-// WithAccessCounter attaches a memory-access counter charged by the
-// filter's bit array per the Section 3.1 model. Used to reproduce the
-// "# memory accesses per query" figures.
+// WithAccessCounter attaches a memory-access counter to the filter's
+// bit array B, billed for B's reads and writes per the Section 3.1
+// model. Used to reproduce the "# memory accesses per query" figures.
 func WithAccessCounter(mc *memmodel.Counter) Option {
 	return Option{id: optAccessCounter, apply: func(c *config) { c.counter = mc }}
 }

@@ -6,15 +6,16 @@ import (
 	"shbf/internal/hashing"
 )
 
-// counted is the pair of arrays CShBF_A and CShBF_X keep in step
-// (paper Sections 4.3 and 5.3): the query array B and the counter
-// array C of the same length, where a bit is set exactly when its
-// counter is nonzero. Every update moves one key's encoding, its k
-// positions h_i(e) mod m shifted by the offset that encodes the key's
-// region (CShBF_A) or multiplicity (CShBF_X), and the steps below are
-// the only code that does: positions computes the k positions once,
-// full checks the destination for headroom, and add and remove step
-// the counters and bits and bill their accesses.
+// counted is the update side CShBF_A and CShBF_X share (paper
+// Sections 4.3 and 5.3): the counter array C, as long as the query
+// array B that their query side holds and kept in step with it, so
+// that a bit is set exactly when its counter is nonzero. Every update
+// moves one key's encoding, its k positions h_i(e) mod m shifted by
+// the offset that encodes the key's region (CShBF_A) or multiplicity
+// (CShBF_X), and the steps below are the only code that does:
+// positions computes the k positions once, full checks the destination
+// for headroom, and add and remove step the counters and bits and bill
+// their accesses.
 //
 // Counters whose width divides 64 are stepped in place inside their
 // word (counters.IncWord and DecWord, which inline); a width whose
@@ -27,7 +28,6 @@ import (
 // and B a write if it reached zero. The headroom check reads C
 // uncharged.
 type counted struct {
-	bits   *bitvec.Vector
 	counts *counters.Array
 	pos    []int // scratch: the updating key's k unshifted positions
 }
@@ -54,10 +54,11 @@ func (c *counted) full(pos []int, o int) bool {
 }
 
 // add increments the k counters of the encoding at offset o and sets
-// their bits. A counter that two positions share and that reaches Max
-// stays there and is tallied as an overflow, as counters.Inc does.
-func (c *counted) add(pos []int, o int) {
-	counts, bits, inWord := c.counts, c.bits, c.counts.InWord()
+// their bits in bits. A counter that two positions share and that
+// reaches Max stays there and is tallied as an overflow, as
+// counters.Inc does.
+func (c *counted) add(bits *bitvec.Vector, pos []int, o int) {
+	counts, inWord := c.counts, c.counts.InWord()
 	for _, p := range pos {
 		p += o
 		if inWord {
@@ -72,10 +73,11 @@ func (c *counted) add(pos []int, o int) {
 }
 
 // remove decrements the k counters of the encoding at offset o,
-// clearing the bits of those that reach zero (Figure 5, steps 2–3). A
-// counter already at zero stays there, as counters.Dec leaves it.
-func (c *counted) remove(pos []int, o int) {
-	counts, bits, inWord := c.counts, c.bits, c.counts.InWord()
+// clearing in bits the bits of those that reach zero (Figure 5, steps
+// 2–3). A counter already at zero stays there, as counters.Dec leaves
+// it.
+func (c *counted) remove(bits *bitvec.Vector, pos []int, o int) {
+	counts, inWord := c.counts, c.counts.InWord()
 	decs, clears := 0, 0
 	for _, p := range pos {
 		p += o

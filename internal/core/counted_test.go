@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"shbf/internal/bitvec"
 )
 
 // FuzzCountingUpdates drives CShBF_A and CShBF_X through fuzzed
@@ -91,8 +93,8 @@ func FuzzCountingUpdates(f *testing.F) {
 					}
 				}
 			}
-			checkCounted(t, n, &a.counted)
-			checkCounted(t, n, &x.counted)
+			checkCounted(t, n, a.bits, &a.counted)
+			checkCounted(t, n, x.bits, &x.counted)
 
 			n1, n2 := 0, 0
 			for i, v := range sets {
@@ -132,11 +134,11 @@ func FuzzCountingUpdates(f *testing.F) {
 
 // checkCounted fails unless every bit of B is set exactly when its
 // counter in C is nonzero.
-func checkCounted(t *testing.T, op int, c *counted) {
+func checkCounted(t *testing.T, op int, b *bitvec.Vector, c *counted) {
 	t.Helper()
-	for i := 0; i < c.bits.Len(); i++ {
-		if c.bits.Peek(i) != (c.counts.Peek(i) != 0) {
-			t.Fatalf("op %d: bit %d is %v but its counter is %d", op, i, c.bits.Peek(i), c.counts.Peek(i))
+	for i := 0; i < b.Len(); i++ {
+		if b.Peek(i) != (c.counts.Peek(i) != 0) {
+			t.Fatalf("op %d: bit %d is %v but its counter is %d", op, i, b.Peek(i), c.counts.Peek(i))
 		}
 	}
 }

@@ -22,17 +22,18 @@ import (
 // so the t shifted bits land in disjoint segments of the w̄-bit window
 // and the whole group is still read with one memory access.
 type TShift struct {
-	bits   *bitvec.Vector
-	m      int
-	k      int
-	t      int
-	groups int // k/(t+1) base hash functions
-	seg    int // segment width s = (w̄−1)/t
-	wbar   int
-	fam    *hashing.Family // groups + t hashers
-	seed   uint64
-	n      int
-	offs   []int // scratch: t offsets
+	bits    *bitvec.Vector
+	m       int
+	k       int
+	t       int
+	groups  int // k/(t+1) base hash functions
+	seg     int // segment width s = (w̄−1)/t
+	wbar    int
+	winMask uint64          // precomputed w̄-bit window mask for the uncounted read
+	fam     *hashing.Family // groups + t hashers
+	seed    uint64
+	n       int
+	offs    []int // scratch: t offsets
 }
 
 // NewTShift returns an empty generalized filter with k total positions
@@ -62,16 +63,17 @@ func NewTShift(m, k, t int, opts ...Option) (*TShift, error) {
 	}
 	groups := k / (t + 1)
 	f := &TShift{
-		bits:   bitvec.New(m + cfg.maxOffset - 1),
-		m:      m,
-		k:      k,
-		t:      t,
-		groups: groups,
-		seg:    seg,
-		wbar:   cfg.maxOffset,
-		fam:    hashing.NewFamily(groups+t, cfg.seed),
-		seed:   cfg.seed,
-		offs:   make([]int, t),
+		bits:    bitvec.New(m + cfg.maxOffset - 1),
+		m:       m,
+		k:       k,
+		t:       t,
+		groups:  groups,
+		seg:     seg,
+		wbar:    cfg.maxOffset,
+		winMask: ^uint64(0) >> (64 - uint(cfg.maxOffset)),
+		fam:     hashing.NewFamily(groups+t, cfg.seed),
+		seed:    cfg.seed,
+		offs:    make([]int, t),
 	}
 	f.bits.SetCounter(cfg.counter)
 	return f, nil
@@ -124,16 +126,22 @@ func (f *TShift) addDigest(d hashing.Digest) {
 // whose t+1 bits are not all 1. The t offset mixes are computed only
 // once the first base bit passes, so cheap rejections stay cheap.
 func (f *TShift) Contains(e []byte) bool {
-	return f.containsDigest(f.fam.Digest(e))
+	d := f.fam.Digest(e)
+	ok, read := f.probe(d)
+	if acc := f.bits.Counter(); acc != nil {
+		billWindows(acc, f.fam, d, read, f.m, f.wbar)
+	}
+	return ok
 }
 
-func (f *TShift) containsDigest(d hashing.Digest) bool {
+// probe reads d's groups until one fails, and returns the answer and
+// how many windows it read.
+func (f *TShift) probe(d hashing.Digest) (bool, int) {
 	mask := uint64(0)
 	for i := 0; i < f.groups; i++ {
-		base := f.fam.ModFromDigest(i, d, f.m)
-		win := f.bits.Window(base, f.wbar)
+		win := f.bits.WindowUncounted(f.fam.ModFromDigest(i, d, f.m), f.winMask)
 		if win&1 == 0 {
-			return false
+			return false, i + 1
 		}
 		if mask == 0 {
 			f.offsets(d)
@@ -143,10 +151,10 @@ func (f *TShift) containsDigest(d hashing.Digest) bool {
 			}
 		}
 		if win&mask != mask {
-			return false
+			return false, i + 1
 		}
 	}
-	return true
+	return true, f.groups
 }
 
 // Reset clears the filter.

@@ -5,6 +5,7 @@ import (
 
 	"shbf/internal/bitvec"
 	"shbf/internal/hashing"
+	"shbf/internal/memmodel"
 )
 
 // Membership is ShBF_M, the shifting Bloom filter for membership queries
@@ -156,35 +157,40 @@ func (f *Membership) Contains(e []byte) bool {
 }
 
 // ContainsDigest answers Contains for the element whose digest is d.
-// Two loops, one semantics: the common counters-off case probes with
-// the inlinable uncounted window read; when an access counter is
-// attached (the experiments reproducing the paper's access figures)
-// the counted Window keeps the Section 3.1 accounting exact.
 func (f *Membership) ContainsDigest(d hashing.Digest) bool {
-	pairMask := uint64(1) | uint64(1)<<uint(f.offsetDigest(d))
-	if f.bits.Counter() != nil {
-		return f.containsDigestCounted(d, pairMask)
+	ok, read := f.probe(d)
+	if acc := f.bits.Counter(); acc != nil {
+		billWindows(acc, f.fam, d, read, f.m, f.wbar)
 	}
-	// Hoisted locals keep the probe loop's operands in registers; the
-	// body is then one mix, one reduction, one two-word read per probe.
-	fam, bits, m, winMask := f.fam, f.bits, f.m, f.winMask
-	for i, half := 0, f.half; i < half; i++ {
-		base := fam.ModFromDigest(i, d, m)
-		if bits.WindowUncounted(base, winMask)&pairMask != pairMask {
-			return false
-		}
-	}
-	return true
+	return ok
 }
 
-func (f *Membership) containsDigestCounted(d hashing.Digest, pairMask uint64) bool {
-	for i := 0; i < f.half; i++ {
-		base := f.fam.ModFromDigest(i, d, f.m)
-		if f.bits.Window(base, f.wbar)&pairMask != pairMask {
-			return false
+// probe reads d's pairs until one fails, and returns the answer and
+// how many windows it read. Hoisted locals keep the loop's operands in
+// registers; the body is one mix, one reduction and one two-word read
+// per pair.
+func (f *Membership) probe(d hashing.Digest) (bool, int) {
+	pairMask := uint64(1) | uint64(1)<<uint(f.offsetDigest(d))
+	fam, bits, m, winMask := f.fam, f.bits, f.m, f.winMask
+	for i, half := 0, f.half; i < half; i++ {
+		if bits.WindowUncounted(fam.ModFromDigest(i, d, m), winMask)&pairMask != pairMask {
+			return false, i + 1
 		}
 	}
-	return true
+	return true, f.half
+}
+
+// billWindows charges acc for a probe of the element digested as d
+// that read its first n windows, each width bits wide at
+// h_i(d) mod m: memmodel.AccessCount reads per window, the paper's
+// Section 3.1 cost, which depends on the window's position alone.
+// Every probe reads uncharged and bills through here only when its
+// filter has an access counter attached, so the hot path never pays
+// for the accounting.
+func billWindows(acc *memmodel.Counter, fam *hashing.Family, d hashing.Digest, n, m, width int) {
+	for i := range n {
+		acc.AddReads(memmodel.AccessCount(fam.ModFromDigest(i, d, m), width))
+	}
 }
 
 // Reset clears the filter.

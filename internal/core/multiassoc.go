@@ -203,14 +203,19 @@ func (a *MultiAssociation) Query(e []byte) MultiAnswer {
 		offs[r-1] = a.offsetFor(d, r)
 	}
 
+	winMask := ^uint64(0) >> (64 - uint(a.wbar))
 	cand := uint32(1)<<a.regions - 1
-	for i := 0; i < a.k && cand != 0; i++ {
-		win := a.bits.Window(a.fam.ModFromDigest(i, d, a.m), a.wbar)
+	read := 0
+	for ; read < a.k && cand != 0; read++ {
+		win := a.bits.WindowUncounted(a.fam.ModFromDigest(read, d, a.m), winMask)
 		survived := uint32(win & 1) // region 1 at offset 0
 		for r := 2; r <= a.regions; r++ {
 			survived |= uint32(win>>uint(offs[r-1])&1) << (r - 1)
 		}
 		cand &= survived
+	}
+	if acc := a.bits.Counter(); acc != nil {
+		billWindows(acc, a.fam, d, read, a.m, a.wbar)
 	}
 	return MultiAnswer{candidates: cand, g: a.g}
 }

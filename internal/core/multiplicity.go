@@ -18,13 +18,43 @@ import (
 // is reported so the answer is never below the true count — no false
 // negatives, only one-sided overestimates (Section 5.4).
 type Multiplicity struct {
+	multQuery
+	n int // distinct elements encoded
+}
+
+// multQuery is the query side ShBF_X and CShBF_X share: the bit array
+// B, its geometry and hash family, and the probe.
+type multQuery struct {
 	bits *bitvec.Vector
 	m    int
 	k    int
 	c    int // maximum multiplicity
 	fam  *hashing.Family
 	seed uint64
-	n    int // distinct elements encoded
+}
+
+// newMultQuery checks ShBF_X's geometry and returns its query side over
+// an empty (m+c−1)-bit B, with cfg's access counter attached.
+func newMultQuery(m, k, c int, cfg config) (multQuery, error) {
+	if m <= 0 {
+		return multQuery{}, fmt.Errorf("core: m = %d must be positive", m)
+	}
+	if k < 1 {
+		return multQuery{}, fmt.Errorf("core: k = %d must be ≥ 1", k)
+	}
+	if c < 1 || c > 64 {
+		return multQuery{}, fmt.Errorf("core: max multiplicity c = %d out of range [1,64]", c)
+	}
+	q := multQuery{
+		bits: bitvec.New(m + c - 1),
+		m:    m,
+		k:    k,
+		c:    c,
+		fam:  hashing.NewFamily(k, cfg.seed),
+		seed: cfg.seed,
+	}
+	q.bits.SetCounter(cfg.counter)
+	return q, nil
 }
 
 // NewMultiplicity returns an empty ShBF_X for counts in [1, c]. The
@@ -36,39 +66,26 @@ func NewMultiplicity(m, k, c int, opts ...Option) (*Multiplicity, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m <= 0 {
-		return nil, fmt.Errorf("core: m = %d must be positive", m)
+	q, err := newMultQuery(m, k, c, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: k = %d must be ≥ 1", k)
-	}
-	if c < 1 || c > 64 {
-		return nil, fmt.Errorf("core: max multiplicity c = %d out of range [1,64]", c)
-	}
-	f := &Multiplicity{
-		bits: bitvec.New(m + c - 1),
-		m:    m,
-		k:    k,
-		c:    c,
-		fam:  hashing.NewFamily(k, cfg.seed),
-		seed: cfg.seed,
-	}
-	f.bits.SetCounter(cfg.counter)
-	return f, nil
+	return &Multiplicity{multQuery: q}, nil
 }
 
-// M, K, C and N report the construction parameters and the number of
-// distinct elements encoded.
-func (f *Multiplicity) M() int { return f.m }
-func (f *Multiplicity) K() int { return f.k }
-func (f *Multiplicity) C() int { return f.c }
+// M, K and C report the construction parameters.
+func (q *multQuery) M() int { return q.m }
+func (q *multQuery) K() int { return q.k }
+func (q *multQuery) C() int { return q.c }
+
+// FillRatio returns the fraction of set bits in B.
+func (q *multQuery) FillRatio() float64 { return q.bits.FillRatio() }
+
+// N returns the number of distinct elements encoded.
 func (f *Multiplicity) N() int { return f.n }
 
 // SizeBytes returns the bit-array footprint.
 func (f *Multiplicity) SizeBytes() int { return f.bits.SizeBytes() }
-
-// FillRatio returns the fraction of set bits.
-func (f *Multiplicity) FillRatio() float64 { return f.bits.FillRatio() }
 
 // AddWithCount encodes element e with multiplicity count ∈ [1, c].
 // Regardless of count, exactly k bits are set — the memory cost is
@@ -89,20 +106,26 @@ func (f *Multiplicity) AddWithCount(e []byte, count int) error {
 }
 
 // candidateMask intersects the k c-bit windows of the element digested
-// as d; bit j−1 set means j is a candidate multiplicity. The scan
-// stops as soon as the intersection empties.
-func (f *Multiplicity) candidateMask(d hashing.Digest) uint64 {
-	var all uint64
-	if f.c == 64 {
-		all = ^uint64(0)
-	} else {
-		all = 1<<uint(f.c) - 1
-	}
-	cand := all
-	for i := 0; i < f.k && cand != 0; i++ {
-		cand &= f.bits.Window(f.fam.ModFromDigest(i, d, f.m), f.c)
+// as d; bit j−1 set means j is a candidate multiplicity.
+func (q *multQuery) candidateMask(d hashing.Digest) uint64 {
+	cand, read := q.probe(d)
+	if acc := q.bits.Counter(); acc != nil {
+		billWindows(acc, q.fam, d, read, q.m, q.c)
 	}
 	return cand
+}
+
+// probe reads d's windows until the intersection empties, and returns
+// it and how many windows it read.
+func (q *multQuery) probe(d hashing.Digest) (uint64, int) {
+	all := ^uint64(0) >> (64 - uint(q.c))
+	fam, bits, m := q.fam, q.bits, q.m
+	cand := all
+	i := 0
+	for k := q.k; i < k && cand != 0; i++ {
+		cand &= bits.WindowUncounted(fam.ModFromDigest(i, d, m), all)
+	}
+	return cand, i
 }
 
 // Candidates appends the candidate multiplicities of e to dst in
@@ -122,13 +145,15 @@ func (f *Multiplicity) Candidates(e []byte, dst []int) []int {
 
 // Count returns the reported multiplicity of e: the largest candidate,
 // "to avoid false negatives" (Section 5.2), or 0 if e is certainly not
-// in the multi-set. The report is always ≥ the true count.
-func (f *Multiplicity) Count(e []byte) int {
-	cand := f.candidateMask(f.fam.Digest(e))
-	if cand == 0 {
-		return 0
-	}
-	return 64 - bits.LeadingZeros64(cand)
+// in the multi-set. The report is always ≥ the true count. It reads
+// only B.
+func (q *multQuery) Count(e []byte) int {
+	return q.CountDigest(q.fam.Digest(e))
+}
+
+// CountDigest answers Count for the element whose digest is d.
+func (q *multQuery) CountDigest(d hashing.Digest) int {
+	return bits.Len64(q.candidateMask(d))
 }
 
 // Reset clears the filter.

@@ -5,6 +5,7 @@ import (
 
 	"shbf/internal/bitvec"
 	"shbf/internal/hashing"
+	"shbf/internal/memmodel"
 )
 
 // This file holds the round-based group kernels of the sharded batch
@@ -31,10 +32,12 @@ import (
 // into one loop per round fills the reorder window with hash arithmetic
 // before enough loads are in flight, and measured slower.
 //
-// Every kernel keeps the scalar per-key loop in two cases: a group
-// below RoundsCutoff, where round set-up costs more than the overlap
-// saves, and a filter with an access counter attached, so the counted
-// accounting behind the paper's access figures is untouched.
+// The loads are uncharged, as the scalar probes' are. When the filter
+// has an access counter attached, gather bills each round's windows
+// from the positions it computed, and addRounds bills k writes per
+// key, so the paper's access figures read the same totals whichever
+// path ran. A group below RoundsCutoff, where round set-up costs more
+// than the overlap saves, runs the scalar per-key loop.
 
 const (
 	// RoundsCutoff is the smallest group the round kernels probe in
@@ -89,7 +92,8 @@ func (sc *ProbeScratch) start(idxs []int32, ds []hashing.Digest) []int32 {
 
 // gather runs a round's first two passes: the i-th window position of
 // every live key, then every window's load. It returns the windows by
-// live slot.
+// live slot, and bills them to bv's access counter if one is attached;
+// mask is the window-width mask, so its length is the width.
 func (sc *ProbeScratch) gather(live []int32, fam *hashing.Family, i, m int, bv *bitvec.Vector, mask uint64) []uint64 {
 	// Hoisted locals keep each pass's operands in registers.
 	dg, pos, win := sc.dg, sc.pos[:len(live)], sc.win[:len(live)]
@@ -98,6 +102,12 @@ func (sc *ProbeScratch) gather(live []int32, fam *hashing.Family, i, m int, bv *
 	}
 	for r, p := range pos {
 		win[r] = bv.WindowUncounted(p, mask)
+	}
+	if acc := bv.Counter(); acc != nil {
+		width := bits.Len64(mask)
+		for _, p := range pos {
+			acc.AddReads(memmodel.AccessCount(p, width))
+		}
 	}
 	return win
 }
@@ -115,7 +125,7 @@ func b2i(b bool) int {
 // index j in idxs, probing the group in rounds (see above). dst and ds
 // are indexed by batch position; sc is the caller's scratch.
 func (f *Membership) ContainsGroup(dst []bool, idxs []int32, ds []hashing.Digest, sc *ProbeScratch) {
-	if len(idxs) < RoundsCutoff || f.bits.Counter() != nil {
+	if len(idxs) < RoundsCutoff {
 		for _, j := range idxs {
 			dst[j] = f.ContainsDigest(ds[j])
 		}
@@ -158,7 +168,7 @@ func (f *Membership) containsRounds(dst []bool, idxs []int32, ds []hashing.Diges
 // groups are written in rounds (see addRounds); sc is the caller's
 // scratch.
 func (f *Membership) AddGroup(idxs []int32, ds []hashing.Digest, sc *ProbeScratch) {
-	if len(idxs) < RoundsCutoff || f.bits.Counter() != nil {
+	if len(idxs) < RoundsCutoff {
 		for _, j := range idxs {
 			f.AddDigest(ds[j])
 		}
@@ -193,21 +203,22 @@ func (f *Membership) addRounds(idxs []int32, ds []hashing.Digest, sc *ProbeScrat
 			bv.OrWindowUncounted(p, pm[t])
 		}
 	}
+	bv.Counter().AddWrites(f.k * len(dg))
 	f.n += len(dg)
 }
 
 // QueryGroup sets dst[j] = QueryDigest(ds[j]) for every batch index j
 // in idxs, probing the group in rounds (see ContainsGroup).
-func (a *CountingAssociation) QueryGroup(dst []Region, idxs []int32, ds []hashing.Digest, sc *ProbeScratch) {
-	if len(idxs) < RoundsCutoff || a.bits.Counter() != nil {
+func (q *assocQuery) QueryGroup(dst []Region, idxs []int32, ds []hashing.Digest, sc *ProbeScratch) {
+	if len(idxs) < RoundsCutoff {
 		for _, j := range idxs {
-			dst[j] = a.QueryDigest(ds[j])
+			dst[j] = q.QueryDigest(ds[j])
 		}
 		return
 	}
 	for len(idxs) > 0 {
 		n := min(len(idxs), RoundsChunk)
-		a.queryRounds(dst, idxs[:n], ds, sc)
+		q.queryRounds(dst, idxs[:n], ds, sc)
 		idxs = idxs[n:]
 	}
 }
@@ -215,17 +226,17 @@ func (a *CountingAssociation) QueryGroup(dst []Region, idxs []int32, ds []hashin
 // queryRounds probes one chunk. Each key carries its candidate mask and
 // its two offsets (o1 in the low byte of aux, o2 in the next); a key
 // leaves when its mask reaches RegionNone.
-func (a *CountingAssociation) queryRounds(dst []Region, idxs []int32, ds []hashing.Digest, sc *ProbeScratch) {
+func (q *assocQuery) queryRounds(dst []Region, idxs []int32, ds []hashing.Digest, sc *ProbeScratch) {
 	live := sc.start(idxs, ds)
 	cand, offs := sc.st[:len(idxs)], sc.aux[:len(idxs)]
 	for t, d := range sc.dg[:len(idxs)] {
-		o1 := a.offset1(d)
-		o2 := o1 + hashing.Reduce(a.fam.FromDigest(a.k+1, d), a.halfRange) + 1
+		o1 := q.offset1(d)
+		o2 := o1 + hashing.Reduce(q.fam.FromDigest(q.k+1, d), q.halfRange) + 1
 		cand[t] = uint64(RegionS1Only | RegionBoth | RegionS2Only)
 		offs[t] = uint64(o1) | uint64(o2)<<8
 	}
-	fam, bv, m, winMask := a.fam, a.bits, a.m, a.winMask
-	for i := 0; i < a.k && len(live) > 0; i++ {
+	fam, bv, m, winMask := q.fam, q.bits, q.m, q.winMask
+	for i := 0; i < q.k && len(live) > 0; i++ {
 		win := sc.gather(live, fam, i, m, bv, winMask)
 		n := 0
 		for r, t := range live {
@@ -244,16 +255,16 @@ func (a *CountingAssociation) queryRounds(dst []Region, idxs []int32, ds []hashi
 
 // CountGroup sets dst[j] = CountDigest(ds[j]) for every batch index j
 // in idxs, probing the group in rounds (see ContainsGroup).
-func (f *CountingMultiplicity) CountGroup(dst []int, idxs []int32, ds []hashing.Digest, sc *ProbeScratch) {
-	if len(idxs) < RoundsCutoff || f.bits.Counter() != nil {
+func (q *multQuery) CountGroup(dst []int, idxs []int32, ds []hashing.Digest, sc *ProbeScratch) {
+	if len(idxs) < RoundsCutoff {
 		for _, j := range idxs {
-			dst[j] = f.CountDigest(ds[j])
+			dst[j] = q.CountDigest(ds[j])
 		}
 		return
 	}
 	for len(idxs) > 0 {
 		n := min(len(idxs), RoundsChunk)
-		f.countRounds(dst, idxs[:n], ds, sc)
+		q.countRounds(dst, idxs[:n], ds, sc)
 		idxs = idxs[n:]
 	}
 }
@@ -261,15 +272,15 @@ func (f *CountingMultiplicity) CountGroup(dst []int, idxs []int32, ds []hashing.
 // countRounds probes one chunk. Each key carries its candidate mask
 // and leaves when the mask reaches 0; the answer is the mask's highest
 // candidate.
-func (f *CountingMultiplicity) countRounds(dst []int, idxs []int32, ds []hashing.Digest, sc *ProbeScratch) {
+func (q *multQuery) countRounds(dst []int, idxs []int32, ds []hashing.Digest, sc *ProbeScratch) {
 	live := sc.start(idxs, ds)
-	all := ^uint64(0) >> (64 - uint(f.c))
+	all := ^uint64(0) >> (64 - uint(q.c))
 	cand := sc.st[:len(idxs)]
 	for t := range cand {
 		cand[t] = all
 	}
-	fam, bv, m := f.fam, f.bits, f.m
-	for i := 0; i < f.k && len(live) > 0; i++ {
+	fam, bv, m := q.fam, q.bits, q.m
+	for i := 0; i < q.k && len(live) > 0; i++ {
 		win := sc.gather(live, fam, i, m, bv, all)
 		n := 0
 		for r, t := range live {
@@ -281,6 +292,6 @@ func (f *CountingMultiplicity) countRounds(dst []int, idxs []int32, ds []hashing
 		live = live[:n]
 	}
 	for t, j := range idxs {
-		dst[j] = 64 - bits.LeadingZeros64(cand[t])
+		dst[j] = bits.Len64(cand[t])
 	}
 }

@@ -5,30 +5,12 @@ package core
 // They complement the construction-time accessors defined next to each
 // type.
 
-// M returns the base array size in bits.
-func (a *CountingAssociation) M() int { return a.m }
-
-// K returns the number of bit positions per element.
-func (a *CountingAssociation) K() int { return a.k }
-
-// MaxOffset returns the maximum offset value w̄.
-func (a *CountingAssociation) MaxOffset() int { return a.wbar }
-
 // SizeBytes returns the combined footprint of the query-side bit array
 // B and the counter array C (the off-chip hash tables are excluded, as
 // in the paper's on-chip accounting).
 func (a *CountingAssociation) SizeBytes() int {
 	return a.bits.SizeBytes() + a.counts.SizeBytes()
 }
-
-// FillRatio returns the fraction of set bits in the query-side array B.
-func (a *CountingAssociation) FillRatio() float64 { return a.bits.FillRatio() }
-
-// M returns the base array size in bits.
-func (f *CountingMultiplicity) M() int { return f.m }
-
-// K returns the number of bit positions per element.
-func (f *CountingMultiplicity) K() int { return f.k }
 
 // N returns the number of distinct stored elements, tracked exactly by
 // the backing hash table. In the unsafe update mode (Section 5.3.1)
@@ -39,6 +21,3 @@ func (f *CountingMultiplicity) N() int {
 	}
 	return f.table.Len()
 }
-
-// FillRatio returns the fraction of set bits in the query-side array B.
-func (f *CountingMultiplicity) FillRatio() float64 { return f.bits.FillRatio() }
