@@ -85,11 +85,7 @@ func runQueryGolden(t *testing.T, kind string, width int) queryGolden {
 		group = func() []uint64 {
 			dst := make([]bool, len(queries))
 			f.ContainsGroup(dst, idxs, ds, &sc)
-			out := make([]uint64, len(dst))
-			for i, v := range dst {
-				out[i] = uint64(b2i(v))
-			}
-			return out
+			return widen(dst, func(v bool) uint64 { return uint64(b2i(v)) })
 		}
 	case "T-shift":
 		f := mustTShift(t, m, k, 2, append(opts, WithMaxOffset(width))...)
@@ -119,11 +115,7 @@ func runQueryGolden(t *testing.T, kind string, width int) queryGolden {
 		group = func() []uint64 {
 			dst := make([]Region, len(queries))
 			a.QueryGroup(dst, idxs, ds, &sc)
-			out := make([]uint64, len(dst))
-			for i, v := range dst {
-				out[i] = uint64(v)
-			}
-			return out
+			return widen(dst, func(v Region) uint64 { return uint64(v) })
 		}
 	case "ShBF_X":
 		f := mustMultiplicity(t, m, k, width, opts...)
@@ -146,11 +138,7 @@ func runQueryGolden(t *testing.T, kind string, width int) queryGolden {
 		group = func() []uint64 {
 			dst := make([]int, len(queries))
 			f.CountGroup(dst, idxs, ds, &sc)
-			out := make([]uint64, len(dst))
-			for i, v := range dst {
-				out[i] = uint64(v)
-			}
-			return out
+			return widen(dst, func(v int) uint64 { return uint64(v) })
 		}
 	case "multi-assoc":
 		a, err := BuildMultiAssociation([][][]byte{stored[:200], stored[100:300], stored[250:]}, m, k,
@@ -183,6 +171,15 @@ func runQueryGolden(t *testing.T, kind string, width int) queryGolden {
 		}
 	}
 	return got
+}
+
+// widen converts a round kernel's answers to the golden's form.
+func widen[T any](answers []T, conv func(T) uint64) []uint64 {
+	out := make([]uint64, len(answers))
+	for i, v := range answers {
+		out[i] = conv(v)
+	}
+	return out
 }
 
 func appendAnswers(dst []byte, answers []uint64) []byte {
