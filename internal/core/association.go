@@ -256,9 +256,10 @@ func (q *assocQuery) probe(d hashing.Digest) (Region, int) {
 		// those whose offset bit is set in the window (the bit tests are
 		// data-dependent 50/50 coin flips at the optimal fill, so
 		// branching on them would mispredict constantly).
-		cand &= Region(win&1) |
+		survived := Region(win&1) |
 			Region(win>>uint(o1)&1)<<1 |
 			Region(win>>uint(o2)&1)<<2
+		cand &= survived
 	}
 	return cand, i
 }

@@ -173,7 +173,8 @@ func (f *Membership) probe(d hashing.Digest) (bool, int) {
 	pairMask := uint64(1) | uint64(1)<<uint(f.offsetDigest(d))
 	fam, bits, m, winMask := f.fam, f.bits, f.m, f.winMask
 	for i, half := 0, f.half; i < half; i++ {
-		if bits.WindowUncounted(fam.ModFromDigest(i, d, m), winMask)&pairMask != pairMask {
+		base := fam.ModFromDigest(i, d, m)
+		if bits.WindowUncounted(base, winMask)&pairMask != pairMask {
 			return false, i + 1
 		}
 	}
@@ -181,12 +182,11 @@ func (f *Membership) probe(d hashing.Digest) (bool, int) {
 }
 
 // billWindows charges acc for a probe of the element digested as d
-// that read its first n windows, each width bits wide at
-// h_i(d) mod m: memmodel.AccessCount reads per window, the paper's
-// Section 3.1 cost, which depends on the window's position alone.
-// Every probe reads uncharged and bills through here only when its
-// filter has an access counter attached, so the hot path never pays
-// for the accounting.
+// that read its first n windows, each width bits wide at h_i(d) mod m:
+// memmodel.AccessCount reads per window, the paper's Section 3.1 cost,
+// which depends on the window's position alone. The scalar probes
+// read uncharged and call it only when an access counter is attached;
+// the round kernels bill in gather.
 func billWindows(acc *memmodel.Counter, fam *hashing.Family, d hashing.Digest, n, m, width int) {
 	for i := range n {
 		acc.AddReads(memmodel.AccessCount(fam.ModFromDigest(i, d, m), width))
