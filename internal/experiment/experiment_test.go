@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"strings"
 	"testing"
 )
@@ -26,13 +27,13 @@ func seriesYs(t *testing.T, fig *Figure, name string) []float64 {
 	return ys
 }
 
-// checkCSV pins a figure whose series do not depend on timing: the
-// access counts, clear rates, correctness rates and FP rates of a
-// seeded run are deterministic, so the sha256 of the figure's CSV must
-// equal want. A probe or update rewrite that moves one value (one
-// access of one query) fails here. Update want only for a deliberate
-// change of what a figure measures.
-func checkCSV(t *testing.T, fig *Figure, want string) {
+// checkCSV pins a figure or table that does not depend on timing: the
+// analytic values and the access counts, clear rates, correctness
+// rates and FP rates of a seeded run are deterministic, so the sha256
+// of its CSV must equal want. A probe or update rewrite that moves one
+// value (one access of one query) fails here. Update want only for a
+// deliberate change of what a figure measures.
+func checkCSV(t *testing.T, fig interface{ WriteCSV(io.Writer) error }, want string) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := fig.WriteCSV(&buf); err != nil {
@@ -40,7 +41,7 @@ func checkCSV(t *testing.T, fig *Figure, want string) {
 	}
 	sum := sha256.Sum256(buf.Bytes())
 	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Errorf("figure %s CSV sha256 %s, want %s:\n%s", fig.ID, got, want, buf.String())
+		t.Errorf("CSV sha256 %s, want %s:\n%s", got, want, buf.String())
 	}
 }
 
@@ -49,6 +50,8 @@ func TestRunFig3(t *testing.T) {
 	if len(figs) != 2 {
 		t.Fatalf("got %d figures", len(figs))
 	}
+	checkCSV(t, figs[0], "e9b72c761639ae3496f0a14c7f55781f64242d70601b36007d260cd03609c545")
+	checkCSV(t, figs[1], "d004100fc539199310cabc0109337f2c8d465a48ba8f551c3d88695c02a2b2fb")
 	// Shape: ShBF FPR decreasing in w̄ and converging to the BF line.
 	sh := seriesYs(t, figs[0], "ShBF_M k=8")
 	bf := seriesYs(t, figs[0], "BF k=8")
@@ -64,6 +67,7 @@ func TestRunFig3(t *testing.T) {
 func TestRunFig4(t *testing.T) {
 	figs := RunFig4(quickCfg)
 	fig := figs[0]
+	checkCSV(t, fig, "e05b5c2a0f95e4e49696155d0a6faff9dcc04e884a4fd2343c8dd69fd17b3c0f")
 	// Shape: for every n, ShBF_M within a few percent of BF at every k.
 	for _, n := range []string{"4000", "8000", "12000"} {
 		sh := seriesYs(t, fig, "ShBF_M n="+n)
@@ -84,6 +88,9 @@ func TestRunFig7(t *testing.T) {
 	if len(figs) != 3 {
 		t.Fatalf("got %d figures", len(figs))
 	}
+	checkCSV(t, figs[0], "3c0fcfa21ead59d14b1360e3777f2a1a2a5c0568ae1881728beccaaecd8e42ad")
+	checkCSV(t, figs[1], "7c2722606c3fe5307e9233781e26631cf2d6d915087e1c52a53468a5c138be85")
+	checkCSV(t, figs[2], "4b65cdf7c9272b4285f6bc9ef6518098ac4f5cac2c6ad5dfd765fdd81795814f")
 	for _, fig := range figs {
 		theory := seriesYs(t, fig, "ShBF_M theory")
 		sim := seriesYs(t, fig, "ShBF_M sim")
@@ -199,6 +206,7 @@ func TestRunTable2(t *testing.T) {
 	if len(tab.Rows) != 2 {
 		t.Fatalf("got %d rows", len(tab.Rows))
 	}
+	checkCSV(t, tab, "ccdc097cbe4ae06c38439592e2371fbd3ed8a5ee17265012cd080604dd0ca54c")
 	if tab.Rows[0][0] != "iBF" || tab.Rows[1][0] != "ShBF_A" {
 		t.Fatalf("unexpected schemes: %v / %v", tab.Rows[0][0], tab.Rows[1][0])
 	}
@@ -371,6 +379,7 @@ func TestRunCostModelTable(t *testing.T) {
 	if len(tab.Rows) != 4 {
 		t.Fatalf("got %d rows", len(tab.Rows))
 	}
+	checkCSV(t, tab, "ba1a4ad522072824ef80a0815298f40663e62e75455520a1e089dab22c996bf5")
 	// The headline: ShBF_M queries cost about half the BF's accesses.
 	var bfAcc, shAcc string
 	for _, row := range tab.Rows {
@@ -508,6 +517,8 @@ func TestRunWindowAblation(t *testing.T) {
 	if len(figs) != 2 {
 		t.Fatalf("got %d figures", len(figs))
 	}
+	checkCSV(t, figs[0], "b9653e0124587950da9285808f550cbb19b71eb546fd0da8b1dd286e21aa0fa2")
+	checkCSV(t, figs[1], "d0c599cbc166edb8e52a472bd7c3b8d094bf9be41a44fda65936450a3ea3dccf")
 	soak := figs[0]
 	win := seriesYs(t, soak, "window G=4")
 	unb := seriesYs(t, soak, "unbounded same-size filter")
