@@ -80,6 +80,34 @@ func TestBoundsPanics(t *testing.T) {
 	}
 }
 
+func TestWindowCrossesWordBoundary(t *testing.T) {
+	v := New(256)
+	v.Set(60)
+	v.Set(63)
+	v.Set(64)
+	v.Set(70)
+	win := v.WindowUncounted(60, 1<<16-1)
+	want := uint64(1)<<0 | 1<<3 | 1<<4 | 1<<10
+	if win != want {
+		t.Fatalf("WindowUncounted(60, width 16) = %b, want %b", win, want)
+	}
+}
+
+func TestWindowFullWord(t *testing.T) {
+	v := New(128)
+	for i := 0; i < 64; i += 2 {
+		v.Set(i)
+	}
+	if got := v.WindowUncounted(0, ^uint64(0)); got != 0x5555555555555555 {
+		t.Fatalf("WindowUncounted(0, width 64) = %x", got)
+	}
+	// Unaligned full-word window: bits 1..64, where bit 64 of the vector
+	// is 0, so the top bit of the window is 0.
+	if got, want := v.WindowUncounted(1, ^uint64(0)), uint64(0x2aaaaaaaaaaaaaaa); got != want {
+		t.Fatalf("WindowUncounted(1, width 64) = %x, want %x", got, want)
+	}
+}
+
 // TestWindowMatchesNaiveBits: bit j of WindowUncounted(pos, mask) is
 // Peek(pos+j) for every width from 1 to 64, at word-aligned positions,
 // at positions whose window crosses a word boundary, and at the last
