@@ -208,6 +208,21 @@ func ResolveSeed(opts ...Option) uint64 {
 	return seed
 }
 
+// HasAccessCounter reports whether the given options attach an access
+// counter. A memmodel.Counter is not safe for concurrent use, so
+// wrappers that could write several filters built from one option list
+// at once (internal/sharded's batch adds) write them one at a time when
+// the options attach one.
+func HasAccessCounter(opts ...Option) bool {
+	var cfg config
+	for _, o := range opts {
+		if o.id == optAccessCounter {
+			o.apply(&cfg)
+		}
+	}
+	return cfg.counter != nil
+}
+
 // WithSeed sets the seed from which the filter derives its independent
 // hash functions. Filters built with the same parameters and seed are
 // identical; experiments vary the seed across trials.

@@ -162,9 +162,12 @@ func (f *Multiplicity) Reset() {
 	f.n = 0
 }
 
-// AccessesPerQuery returns k·⌈c/w⌉, the paper's Section 5.2 worst-case
-// memory-access budget (the measured average is lower because of early
-// termination).
+// AccessesPerQuery returns k·⌈(c+7)/w⌉, the worst-case memory accesses
+// of one query (the measured average is lower because of early
+// termination). Each of the k windows is c bits wide and may start at
+// any bit of its first byte, and an access reads w bits from a byte
+// boundary (memmodel.AccessCount), so a window costs up to ⌈(c+7)/w⌉
+// accesses. For c ≤ w−7 that is one, the paper's Section 5.2 budget.
 func (f *Multiplicity) AccessesPerQuery() int {
-	return f.k * ((f.c + WordBits - 1) / WordBits)
+	return f.k * ((f.c + 7 + WordBits - 1) / WordBits)
 }

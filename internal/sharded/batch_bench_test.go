@@ -2,6 +2,7 @@ package sharded
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand/v2"
 	"runtime"
 	"sync"
@@ -262,8 +263,10 @@ func (c *coldFixture) build() error {
 	return nil
 }
 
-func reportPerKey(b *testing.B) {
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/coldBatch, "ns/key")
+// reportPerKey reports the time per key of a benchmark whose every
+// operation handles n keys.
+func reportPerKey(b *testing.B, n int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/key")
 }
 
 func BenchmarkBatchProbeColdContains(b *testing.B) {
@@ -272,7 +275,7 @@ func BenchmarkBatchProbeColdContains(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dst = c.member.ContainsAll(dst, c.contains[i%coldBatches])
 	}
-	reportPerKey(b)
+	reportPerKey(b, coldBatch)
 }
 
 func BenchmarkBatchProbeColdQuery(b *testing.B) {
@@ -281,7 +284,7 @@ func BenchmarkBatchProbeColdQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dst = c.assoc.QueryAll(dst, c.stored[i%coldBatches])
 	}
-	reportPerKey(b)
+	reportPerKey(b, coldBatch)
 }
 
 func BenchmarkBatchProbeColdCount(b *testing.B) {
@@ -290,31 +293,41 @@ func BenchmarkBatchProbeColdCount(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dst = c.mult.CountAll(dst, c.stored[i%coldBatches])
 	}
-	reportPerKey(b)
+	reportPerKey(b, coldBatch)
 }
 
 // BenchmarkBatchAddCold measures the batch add where the write kernel
 // pays off: the large-batch workload's membership geometry (256 Mibit
 // across 16 shards, k = 8), far larger than the cache, written with
-// coldBatches distinct 4096-key batches in turn, so nearly every pair's
-// word misses. One untimed pass over the batches writes ~128 bits into
-// every 4 KiB page, so the timed loop pays no first-touch page faults.
-// It builds its own filter, so the BatchProbeCold fixture's fill does
-// not drift. Run with
+// distinct batches in turn, so nearly every pair's word misses. Each
+// batch size (large-batch sends 4096 keys) cycles through
+// coldBatches·coldBatch keys, and one untimed pass over them writes
+// ~128 pairs into every 4 KiB page, so the timed loop pays no
+// first-touch page faults. It builds its own filter, so the
+// BatchProbeCold fixture's fill does not drift. At -cpu 1 every batch
+// is written on the calling goroutine; at -cpu 2 or more a batch of
+// 2·core.RoundsChunk keys or more fans out over disjoint shard ranges
+// (batchAdd), so run both:
 //
-//	go test -run '^$' -bench BatchAddCold -cpu 1 ./internal/sharded/
+//	go test -run '^$' -bench BatchAddCold -cpu 1,2 ./internal/sharded/
 //
 // and read ns/key.
 func BenchmarkBatchAddCold(b *testing.B) {
+	for _, n := range []int{1024, 2048, coldBatch} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) { benchAddCold(b, n) })
+	}
+}
+
+func benchAddCold(b *testing.B, n int) {
 	f, err := New(256<<20, 8, benchShards, core.WithSeed(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	batches := make([][][]byte, coldBatches)
-	for n := range batches {
-		batches[n] = make([][]byte, coldBatch)
-		for i := range batches[n] {
-			batches[n][i] = benchKey(uint64(n*coldBatch + i))
+	batches := make([][][]byte, coldBatches*coldBatch/n)
+	for j := range batches {
+		batches[j] = make([][]byte, n)
+		for i := range batches[j] {
+			batches[j][i] = benchKey(uint64(j*n + i))
 		}
 	}
 	for _, keys := range batches {
@@ -326,9 +339,9 @@ func BenchmarkBatchAddCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := f.AddAll(batches[i%coldBatches]); err != nil {
+		if err := f.AddAll(batches[i%len(batches)]); err != nil {
 			b.Fatal(err)
 		}
 	}
-	reportPerKey(b)
+	reportPerKey(b, n)
 }

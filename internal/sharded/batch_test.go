@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -163,8 +164,8 @@ func (s *agreeSet) saturate(t *testing.T, keys [][]byte) {
 // at every round, an empty one where every key leaves in the first
 // round, a saturated one where every key survives every round, and the
 // large-batch workload's fill probed with half non-members. With an
-// access counter attached, groups far above the cutoff must still
-// charge exactly the per-key loop's reads (the counted fallback).
+// access counter attached, the round kernels must bill exactly the
+// reads of the per-key loop, for groups far above the cutoff too.
 func TestBenchPathsAgree(t *testing.T) {
 	const maxProbe = 4096
 	sizes := []int{0, 1, core.RoundsCutoff - 1, core.RoundsCutoff, maxProbe}
@@ -321,6 +322,16 @@ func TestConcurrentBatchReads(t *testing.T) {
 	<-writerDone
 }
 
+// atLeastTwoProcs raises GOMAXPROCS to at least 2 for the test's
+// duration, so that batch adds of 2·core.RoundsChunk keys or more fan
+// out whatever the host's core count.
+func atLeastTwoProcs(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
 // batchWriter is the surface TestBatchWritesAgree compares: a batch
 // write, the filter's bytes and its element count.
 type batchWriter interface {
@@ -338,6 +349,9 @@ type writeKind struct {
 	one   func(f batchWriter, e []byte) error
 	// counted reports whether build honours core.WithAccessCounter.
 	counted bool
+	// workers returns how many goroutines AddAll writes n keys on; nil
+	// for the kinds whose batches never fan out.
+	workers func(f batchWriter, n int) int
 }
 
 var writeKinds = []writeKind{
@@ -348,6 +362,7 @@ var writeKinds = []writeKind{
 		},
 		one:     func(f batchWriter, e []byte) error { f.(*Filter).Add(e); return nil },
 		counted: true,
+		workers: func(f batchWriter, n int) int { return f.(*Filter).set.addWorkers(n) },
 	},
 	{
 		name: "Window",
@@ -355,7 +370,8 @@ var writeKinds = []writeKind{
 			return NewWindow(core.Spec{Kind: core.KindWindowShardedMembership,
 				M: bits, K: 8, Shards: shards, Generations: 3, Seed: 1})
 		},
-		one: func(f batchWriter, e []byte) error { f.(*Window).Add(e); return nil },
+		one:     func(f batchWriter, e []byte) error { f.(*Window).Add(e); return nil },
+		workers: func(f batchWriter, n int) int { return f.(*Window).set.addWorkers(n) },
 	},
 	{
 		name: "Multiplicity",
@@ -400,8 +416,13 @@ var hotKey = benchKey(1 << 50)
 // keys repeated within a batch, a dense array where different keys'
 // pairs share words, an access counter (the batch must charge exactly
 // the per-key loop's accesses), and a multiplicity batch that overflows
-// midway (same error text, same keys applied).
+// midway (same error text, same keys applied). The test runs at
+// GOMAXPROCS ≥ 2, so the membership kinds' 4096-key batches over
+// several shards fan out (batchAdd) while the per-key twin writes on
+// one goroutine; with an access counter attached, or over one shard,
+// they must not fan out.
 func TestBatchWritesAgree(t *testing.T) {
+	atLeastTwoProcs(t)
 	sizes := []int{0, 1, core.RoundsCutoff - 1, core.RoundsCutoff, 4096}
 	cases := []struct {
 		name    string
@@ -428,6 +449,8 @@ func TestBatchWritesAgree(t *testing.T) {
 			}
 			return benchKey(uint64(lo + i))
 		}},
+		// The shards share one counter, so no batch may fan out.
+		{"counted shards", 1 << 20, benchShards, true, nil},
 	}
 	if sizes[len(sizes)-1] <= core.RoundsChunk {
 		t.Fatalf("largest batch %d does not exceed the chunk bound %d", sizes[len(sizes)-1], core.RoundsChunk)
@@ -452,6 +475,13 @@ func TestBatchWritesAgree(t *testing.T) {
 					fs[i] = f
 				}
 				batch, twin := fs[0], fs[1]
+				if kind.workers != nil {
+					n := sizes[len(sizes)-1]
+					got, fan := kind.workers(batch, n), c.shards > 1 && !c.counted
+					if fan != (got > 1) {
+						t.Fatalf("%d keys over %d shards (counted %v) fan out over %d workers", n, c.shards, c.counted, got)
+					}
+				}
 				lo, failed := 0, false
 				for _, n := range sizes {
 					keys := make([][]byte, n)
@@ -496,13 +526,16 @@ func TestBatchWritesAgree(t *testing.T) {
 }
 
 // TestConcurrentBatchWrites runs batch writers on shared shards while
-// batch readers probe. Each writer's groups hold 256 keys, far above
-// the round cutoff, so writers run the write kernel under a shard's
-// write lock while others wait on it or read; any scratch shared
-// between them would race. Preloaded members must stay present
-// throughout, and afterwards every written key must be present and N()
-// must count every write.
+// batch readers probe. Each writer's groups hold 256 keys or more, far
+// above the round cutoff, so writers run the write kernel under a
+// shard's write lock while others wait on it or read; any scratch
+// shared between them would race. Half the writers write batches of
+// 2·core.RoundsChunk keys at GOMAXPROCS ≥ 2, so each of their batches
+// fans out over two goroutines, each writing its own shards. Preloaded
+// members must stay present throughout, and afterwards every written
+// key must be present and N() must count every write.
 func TestConcurrentBatchWrites(t *testing.T) {
+	atLeastTwoProcs(t)
 	const (
 		writers = 4
 		readers = 4
@@ -511,12 +544,17 @@ func TestConcurrentBatchWrites(t *testing.T) {
 		iters   = 8
 		shards  = 4
 	)
+	// batchOf is writer w's batch size.
+	batchOf := func(w int) int { return []int{batch, 2 * core.RoundsChunk}[w%2] }
 	if batch/shards < 4*core.RoundsCutoff {
 		t.Fatalf("groups of ~%d keys would not run the write kernel", batch/shards)
 	}
 	f, err := New(1<<20, 8, shards, core.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := f.set.addWorkers(batchOf(1)); n < 2 {
+		t.Fatalf("a %d-key batch writes on %d goroutine(s), want a fan-out", batchOf(1), n)
 	}
 	// writerKey is writer w's i-th key; the ranges are disjoint from
 	// each other and from the preload.
@@ -558,10 +596,10 @@ func TestConcurrentBatchWrites(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			keys := make([][]byte, batch)
+			keys := make([][]byte, batchOf(w))
 			for it := range iters {
 				for i := range keys {
-					keys[i] = writerKey(w, it*batch+i)
+					keys[i] = writerKey(w, it*len(keys)+i)
 				}
 				if err := f.AddAll(keys); err != nil {
 					t.Error(err)
@@ -574,11 +612,15 @@ func TestConcurrentBatchWrites(t *testing.T) {
 	close(stop)
 	rg.Wait()
 
-	if n, want := f.N(), preload+writers*iters*batch; n != want {
+	want := preload
+	for w := range writers {
+		want += iters * batchOf(w)
+	}
+	if n := f.N(); n != want {
 		t.Fatalf("N() = %d, want %d", n, want)
 	}
-	keys := make([][]byte, iters*batch)
 	for w := range writers {
+		keys := make([][]byte, iters*batchOf(w))
 		for i := range keys {
 			keys[i] = writerKey(w, i)
 		}

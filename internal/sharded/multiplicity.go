@@ -106,7 +106,7 @@ func (c *multiplicity[T, F]) Count(e []byte) int {
 // error reports the failing key's batch index. Safe for concurrent
 // use.
 func (c *multiplicity[T, F]) AddAll(keys [][]byte) error {
-	return batchWrite(&c.set, keys, eachInsert(F.InsertDigest))
+	return batchInsert(&c.set, keys, F.InsertDigest)
 }
 
 // CountAll queries a whole batch, grouping keys by shard so each

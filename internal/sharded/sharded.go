@@ -103,9 +103,11 @@ func newShards[T any, F shard[T]](totalBits, shardCount int, opts []core.Option,
 		return set[F]{}, err
 	}
 	base := core.ResolveSeed(opts...)
-	return newSet(pow, func(i int) (F, error) {
+	s, err := newSet(pow, func(i int) (F, error) {
 		return build(perShard, append(opts, core.WithSeed(shardSeed(base, i)))...)
 	})
+	s.counted = core.HasAccessCounter(opts...)
+	return s, err
 }
 
 // Shards returns the number of shards.
@@ -291,10 +293,13 @@ func (c *membership[T, F]) Contains(e []byte) bool {
 // shard's whole group is written by one call (core.Membership.AddGroup,
 // which writes large groups in rounds, into the ring's head generation
 // for a window); each key is digested once for both routing and
-// encoding. Safe for concurrent use. The error is
-// always nil (the signature matches the shared batch interface).
+// encoding. A batch of two core.RoundsChunk keys or more writes
+// disjoint shard ranges on several goroutines (batchAdd). Safe for
+// concurrent use. The error is always nil (the signature matches the
+// shared batch interface).
 func (c *membership[T, F]) AddAll(keys [][]byte) error {
-	return batchWrite(&c.set, keys, addGroup(F.AddGroup))
+	batchAdd(&c.set, keys)
+	return nil
 }
 
 // ContainsAll queries a whole batch, grouping keys by shard so each

@@ -4,6 +4,7 @@ import (
 	"encoding"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"shbf/internal/core"
@@ -55,10 +56,13 @@ type entry[F any] struct {
 	_  [40]byte
 }
 
-// set is the routed shard collection.
+// set is the routed shard collection. counted records that the shards
+// share an access counter, which is not safe for concurrent use, so
+// batch adds must not fan out.
 type set[F any] struct {
-	shards []entry[F]
-	mask   uint64
+	shards  []entry[F]
+	mask    uint64
+	counted bool
 }
 
 // roundPow2 rounds shardCount up to the next power of two, validating
@@ -115,8 +119,9 @@ func (s *set[F]) size() int { return len(s.shards) }
 // with them instead of re-hashing — one pass per key for the whole
 // batch operation, routing included. The plan also carries the round
 // kernels' scratch (core.ProbeScratch): it belongs to this one batch,
-// so concurrent readers of one shard never share it. Plans are pooled
-// so the steady-state batch path does not allocate.
+// so concurrent readers of one shard never share it, and a fanned-out
+// add gives each of its other workers one of more. Plans are pooled so
+// the steady-state batch path does not allocate.
 type batchPlan struct {
 	shardOf []uint32
 	digests []hashing.Digest
@@ -124,6 +129,7 @@ type batchPlan struct {
 	next    []int
 	order   []int32
 	probe   core.ProbeScratch
+	more    []core.ProbeScratch
 }
 
 var planPool = sync.Pool{New: func() any { return new(batchPlan) }}
@@ -192,38 +198,82 @@ func ReadAll[F, R any](shards []F, dst []R, keys [][]byte, probe func(F, []R, []
 	return dst
 }
 
-// groupWrite applies one shard group of a batch write: every batch
-// index j in idxs, whose key is keys[j] and digest ds[j]. It may use sc
-// as scratch. The membership kinds' group inserts (AddGroup) take this
-// shape through addGroup; eachInsert adapts a per-key update to it.
-type groupWrite[F any] func(f F, keys [][]byte, idxs []int32, ds []hashing.Digest, sc *core.ProbeScratch) error
-
-// addGroup adapts an infallible group insert to a groupWrite.
-func addGroup[F any](add func(F, []int32, []hashing.Digest, *core.ProbeScratch)) groupWrite[F] {
-	return func(f F, _ [][]byte, idxs []int32, ds []hashing.Digest, sc *core.ProbeScratch) error {
-		add(f, idxs, ds, sc)
-		return nil
-	}
+// groupAdder is a shard filter with an infallible group insert: it
+// writes every batch index j in idxs, whose digest is ds[j], and may
+// use sc as scratch. The membership kinds' AddGroup has this shape.
+type groupAdder interface {
+	AddGroup(idxs []int32, ds []hashing.Digest, sc *core.ProbeScratch)
 }
 
-// eachInsert adapts a per-key update to a groupWrite, for the counting
-// kinds: the first failure stops the group, and the error reports the
-// failing key's batch index.
-func eachInsert[F any](insert func(F, []byte, hashing.Digest) error) groupWrite[F] {
-	return func(f F, keys [][]byte, idxs []int32, ds []hashing.Digest, _ *core.ProbeScratch) error {
-		for _, j := range idxs {
-			if err := insert(f, keys[j], ds[j]); err != nil {
-				return fmt.Errorf("sharded: key %d: %w", j, err)
-			}
+// batchAdd inserts every key, visiting each occupied shard once under
+// its write lock and handing AddGroup that shard's whole group. Groups
+// cannot fail and no two share a shard, so a large batch writes them on
+// addWorkers goroutines at once (fanOut); any other batch walks the
+// shards in index order on the calling goroutine.
+func batchAdd[F groupAdder](s *set[F], keys [][]byte) {
+	p := group(keys, len(s.shards))
+	defer p.release()
+	if n := s.addWorkers(len(keys)); n > 1 {
+		fanOut(s, p, n)
+		return
+	}
+	addShards(s, p, 0, len(s.shards), &p.probe)
+}
+
+// addWorkers returns how many goroutines write a batch of n keys: one
+// per core.RoundsChunk keys, at most one per shard and one per P, and
+// one whenever the shards share an access counter.
+func (s *set[F]) addWorkers(n int) int {
+	w := min(n/core.RoundsChunk, len(s.shards))
+	if w < 2 || s.counted {
+		return 1
+	}
+	return min(w, runtime.GOMAXPROCS(0))
+}
+
+// fanOut writes a grouped batch on n goroutines: worker w writes shards
+// [w·S/n, (w+1)·S/n) of the S shards, each under its own write lock,
+// with its own scratch. The calling goroutine is worker 0, and fanOut
+// returns when every worker is done.
+func fanOut[F groupAdder](s *set[F], p *batchPlan, n int) {
+	if len(p.more) < n-1 {
+		p.more = make([]core.ProbeScratch, n-1)
+	}
+	shards := len(s.shards)
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for w := 1; w < n; w++ {
+		go func() {
+			defer wg.Done()
+			addShards(s, p, w*shards/n, (w+1)*shards/n, &p.more[w-1])
+		}()
+	}
+	addShards(s, p, 0, shards/n, &p.probe)
+	wg.Wait()
+}
+
+// addShards writes the plan's groups for shards [lo, hi), each under
+// its write lock.
+func addShards[F groupAdder](s *set[F], p *batchPlan, lo, hi int, sc *core.ProbeScratch) {
+	for i := lo; i < hi; i++ {
+		idxs := p.keysFor(i)
+		if len(idxs) == 0 {
+			continue
 		}
-		return nil
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		sh.f.AddGroup(idxs, p.digests, sc)
+		sh.mu.Unlock()
 	}
 }
 
-// batchWrite applies every key, visiting each occupied shard once
-// under its write lock and handing write that shard's whole group. The
-// first failure stops the batch; keys already applied stay applied.
-func batchWrite[F any](s *set[F], keys [][]byte, write groupWrite[F]) error {
+// batchInsert applies a per-key update to every key, for the counting
+// kinds: each occupied shard is visited once under its write lock, in
+// index order, and its keys are applied in batch order. The first
+// failure stops the batch, keys already applied stay applied, and the
+// error reports the failing key's batch index. It never fans out, so
+// which keys a refused batch applied follows from that order alone.
+func batchInsert[F any](s *set[F], keys [][]byte, insert func(F, []byte, hashing.Digest) error) error {
 	p := group(keys, len(s.shards))
 	defer p.release()
 	for i := range s.shards {
@@ -233,7 +283,13 @@ func batchWrite[F any](s *set[F], keys [][]byte, write groupWrite[F]) error {
 		}
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		err := write(sh.f, keys, idxs, p.digests, &p.probe)
+		var err error
+		for _, j := range idxs {
+			if err = insert(sh.f, keys[j], p.digests[j]); err != nil {
+				err = fmt.Errorf("sharded: key %d: %w", j, err)
+				break
+			}
+		}
 		sh.mu.Unlock()
 		if err != nil {
 			return err
