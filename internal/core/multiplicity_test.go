@@ -179,33 +179,26 @@ func TestMultiplicityAccessCounting(t *testing.T) {
 	if acc.Reads() > 2 {
 		t.Fatalf("absent query cost %d accesses, expected early exit", acc.Reads())
 	}
-}
 
-// TestMultiplicityAccessesPerQueryBound checks AccessesPerQuery as a
-// bound at c = 64, where a window that starts past its byte's first bit
-// costs two accesses: no query of a stored or an absent element may
-// bill more reads than it reports.
-func TestMultiplicityAccessesPerQueryBound(t *testing.T) {
-	var acc memmodel.Counter
-	const k, c = 6, 64
-	f := mustMultiplicity(t, 1<<14, k, c, WithAccessCounter(&acc))
+	// c = 64: a window that starts past its byte's first bit costs two
+	// accesses, and no query may bill more than AccessesPerQuery.
+	const wide = 64
+	f = mustMultiplicity(t, 1<<14, k, wide, WithAccessCounter(&acc))
 	if got, want := f.AccessesPerQuery(), 2*k; got != want {
-		t.Fatalf("AccessesPerQuery = %d at c = %d, want %d", got, c, want)
+		t.Fatalf("AccessesPerQuery = %d at c = %d, want %d", got, wide, want)
 	}
 	elems := genElements(1200, 64)
 	for i, e := range elems[:600] {
-		if err := f.AddWithCount(e, i%c+1); err != nil {
+		if err := f.AddWithCount(e, i%wide+1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	most := uint64(0)
-	for _, e := range elems {
+	for i, e := range elems {
 		acc.Reset()
 		f.Count(e)
-		most = max(most, acc.Reads())
-	}
-	if most > uint64(f.AccessesPerQuery()) {
-		t.Fatalf("a query billed %d reads, more than AccessesPerQuery = %d", most, f.AccessesPerQuery())
+		if acc.Reads() > uint64(f.AccessesPerQuery()) {
+			t.Fatalf("query %d at c = %d billed %d reads, more than AccessesPerQuery = %d", i, wide, acc.Reads(), f.AccessesPerQuery())
+		}
 	}
 }
 

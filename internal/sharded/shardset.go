@@ -120,8 +120,9 @@ func (s *set[F]) size() int { return len(s.shards) }
 // batch operation, routing included. The plan also carries the round
 // kernels' scratch (core.ProbeScratch): it belongs to this one batch,
 // so concurrent readers of one shard never share it, and a fanned-out
-// add gives each of its other workers one of more. Plans are pooled so
-// the steady-state batch path does not allocate.
+// add gives every worker but the calling goroutine one of its own
+// (more). Plans are pooled so the steady-state batch path does not
+// allocate.
 type batchPlan struct {
 	shardOf []uint32
 	digests []hashing.Digest
@@ -234,7 +235,9 @@ func (s *set[F]) addWorkers(n int) int {
 // fanOut writes a grouped batch on n goroutines: worker w writes shards
 // [w·S/n, (w+1)·S/n) of the S shards, each under its own write lock,
 // with its own scratch. The calling goroutine is worker 0, and fanOut
-// returns when every worker is done.
+// returns when every worker is done. It is kept apart from batchAdd so
+// that what its goroutines capture escapes here alone, and a batch that
+// does not fan out allocates nothing.
 func fanOut[F groupAdder](s *set[F], p *batchPlan, n int) {
 	if len(p.more) < n-1 {
 		p.more = make([]core.ProbeScratch, n-1)
