@@ -77,6 +77,12 @@
 // counters, and build/start info. -version prints the daemon version
 // and exits. See OPERATIONS.md §13 for the metric reference.
 //
+// Memory: the daemon runs its garbage collector at GOGC=10 rather than
+// the runtime's 100, because nearly all of its heap is long-lived
+// filter storage that a cycle does not scan, and logs the percent in
+// force at startup. GOGC in the environment overrides it; GOMEMLIMIT
+// works alongside it as the Go runtime defines. See OPERATIONS.md §4.
+//
 // See internal/server for the endpoint list, OPERATIONS.md for running
 // the daemon in production, and DESIGN.md for the architecture.
 package main
@@ -93,6 +99,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -101,7 +108,32 @@ import (
 	"shbf/internal/server"
 )
 
+// gcPercent is the collector's pacing percent when GOGC is unset: a
+// cycle starts once garbage reaches a tenth of the live heap, not the
+// runtime's default of all of it. Nearly all of the daemon's live heap
+// is pointer-free storage that lives as long as its tenant (bit arrays,
+// counter arrays, exact-table chunks). A cycle scans only the small
+// pointer-bearing rest, so it costs about the same at 10 as at 100,
+// while at 100 allocating traffic lets the process hold about twice
+// what its filters take (DESIGN §5 "Memory and the collector").
+const gcPercent = 10
+
+// setGCPercent sets the collector to gcPercent unless lookupEnv finds
+// GOGC, which the runtime has then already applied ("off" included)
+// and which is left alone. It returns a line naming the percent in
+// force.
+func setGCPercent(lookupEnv func(string) (string, bool)) string {
+	if v, ok := lookupEnv("GOGC"); ok {
+		return "garbage collector at GOGC=" + v + " from the environment"
+	}
+	debug.SetGCPercent(gcPercent)
+	return fmt.Sprintf("garbage collector at GOGC=%d (set GOGC to override)", gcPercent)
+}
+
 func main() {
+	// In main, not run: the tests that call run, and everything that
+	// builds a server.Server in process, keep the runtime's default.
+	log.Printf("shbfd: %s", setGCPercent(os.LookupEnv))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, os.Args[1:], nil); err != nil {

@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"path/filepath"
+	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,6 +78,33 @@ func TestFlagValidation(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-member-k", "7", "-addr", "127.0.0.1:0"}, nil); err == nil {
 		t.Fatal("accepted odd membership k")
+	}
+}
+
+// TestGCPercentPolicy: with GOGC unset, the daemon paces its collector
+// at gcPercent; with GOGC set ("off" included), the percent the runtime
+// took from it is left alone.
+func TestGCPercentPolicy(t *testing.T) {
+	const preset = 77 // stands in for the percent a GOGC value gave the runtime
+	orig := debug.SetGCPercent(preset)
+	t.Cleanup(func() { debug.SetGCPercent(orig) })
+
+	for _, v := range []string{"off", "200"} {
+		line := setGCPercent(func(key string) (string, bool) { return v, key == "GOGC" })
+		if got := debug.SetGCPercent(preset); got != preset {
+			t.Errorf("GOGC=%s: percent %d after setGCPercent, want %d left alone", v, got, preset)
+		}
+		if !strings.Contains(line, "GOGC="+v) {
+			t.Errorf("GOGC=%s: log line %q does not name it", v, line)
+		}
+	}
+
+	line := setGCPercent(func(string) (string, bool) { return "", false })
+	if got := debug.SetGCPercent(preset); got != gcPercent {
+		t.Errorf("GOGC unset: percent %d after setGCPercent, want %d", got, gcPercent)
+	}
+	if !strings.Contains(line, fmt.Sprintf("GOGC=%d", gcPercent)) {
+		t.Errorf("GOGC unset: log line %q does not name %d", line, gcPercent)
 	}
 }
 

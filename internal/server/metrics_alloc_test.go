@@ -7,6 +7,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -77,5 +78,40 @@ func TestInstrumentedDispatchAllocFree(t *testing.T) {
 	})
 	if resp.Status != wire.StatusOK {
 		t.Fatalf("status %d after measurement (%s)", resp.Status, resp.Msg)
+	}
+
+	// A frame as serveShBPConn takes it, on a connection that keeps
+	// addressing one created tenant: ReadFrame into a reused buffer,
+	// DecodeRequest into a reused Request, then handleFrame. Neither
+	// the length prefix nor the namespace may allocate.
+	s.handleFrame(&wire.Request{Op: wire.OpNamespaceCreate, Blob: []byte(`{"name":"alloc-tenant"}`)}, &resp, &sc)
+	if resp.Status != wire.StatusOK {
+		t.Fatalf("namespace create: status %d (%s)", resp.Status, resp.Msg)
+	}
+	frame, err := wire.AppendRequest(nil, &wire.Request{
+		Op: wire.OpMembershipContains, Namespace: "alloc-tenant", KeyWidth: len(keys[0]), Keys: keys[:16]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		rd  = bytes.NewReader(frame)
+		buf []byte
+		req wire.Request
+	)
+	readAndHandle := func() {
+		rd.Reset(frame)
+		var err error
+		if buf, err = wire.ReadFrame(rd, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err = wire.DecodeRequest(&req, buf); err != nil {
+			t.Fatal(err)
+		}
+		s.handleFrame(&req, &resp, &sc)
+	}
+	readAndHandle()
+	requireZeroAllocs(t, "ReadFrame+DecodeRequest+handleFrame/namespace-contains", 100, readAndHandle)
+	if resp.Status != wire.StatusOK || len(resp.Bools) != 16 {
+		t.Fatalf("namespace contains: status %d (%s), %d answers", resp.Status, resp.Msg, len(resp.Bools))
 	}
 }

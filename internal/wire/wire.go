@@ -408,7 +408,12 @@ func DecodeRequest(req *Request, frame []byte) error {
 	if len(rest) < nsLen+6 {
 		return fmt.Errorf("%w: namespace and key header", ErrTruncated)
 	}
-	req.Namespace = string(rest[:nsLen])
+	// A connection usually keeps addressing one tenant: keep the
+	// string it already holds rather than allocate an equal one (the
+	// comparison does not allocate).
+	if ns := rest[:nsLen]; req.Namespace != string(ns) {
+		req.Namespace = string(ns)
+	}
 	var err error
 	req.Keys, req.KeyWidth, rest, err = DecodePackedKeys(req.Keys, rest[nsLen:])
 	if err != nil {
@@ -675,16 +680,17 @@ func resize[T any](s []T, n int) []T {
 // ReadFrame reads one length-prefixed frame from r into buf (grown as
 // needed) and returns the payload. A clean EOF before the length
 // prefix returns io.EOF; anything else that truncates the frame is an
-// error.
+// error. The length prefix is read into buf too: a local array handed
+// to r would escape, one allocation per frame.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	buf = resize(buf, 4)
+	if _, err := io.ReadFull(r, buf); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("%w: frame length", ErrTruncated)
 		}
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(buf)
 	if n == 0 {
 		return nil, errors.New("wire: empty frame")
 	}

@@ -300,6 +300,20 @@ func TestDecodeReusesBuffers(t *testing.T) {
 	if len(req.Keys) != 1 || !bytes.Equal(req.Keys[0], []byte{9, 9}) {
 		t.Fatalf("stale keys after reuse: %v", req.Keys)
 	}
+
+	// DecodeRequest keeps the namespace string the Request holds while
+	// frames name the same tenant (TestInstrumentedDispatchAllocFree
+	// counts the allocation it saves); every frame must still decode
+	// to its own namespace.
+	for i, ns := range []string{"", "a", "a", "b", ""} {
+		f := mustRequest(&Request{Op: OpMembershipContains, Namespace: ns, KeyWidth: 2, Keys: [][]byte{{9, 9}}})
+		if err := DecodeRequest(&req, f[4:]); err != nil {
+			t.Fatal(err)
+		}
+		if req.Namespace != ns {
+			t.Fatalf("frame %d: namespace %q, want %q", i, req.Namespace, ns)
+		}
+	}
 }
 
 // TestHTTPStatusTableRoundTrips: every wire status survives the trip
