@@ -77,11 +77,10 @@
 // counters, and build/start info. -version prints the daemon version
 // and exits. See OPERATIONS.md §13 for the metric reference.
 //
-// Memory: the daemon runs its garbage collector at GOGC=10 rather than
-// the runtime's 100, because nearly all of its heap is long-lived
-// filter storage that a cycle does not scan, and logs the percent in
-// force at startup. GOGC in the environment overrides it; GOMEMLIMIT
-// works alongside it as the Go runtime defines. See OPERATIONS.md §4.
+// Memory: the daemon runs its garbage collector at GOGC=10, not the
+// runtime's 100 (see gcPercent), and logs the percent in force at
+// startup. GOGC in the environment overrides it; GOMEMLIMIT works
+// alongside it as the Go runtime defines. See OPERATIONS.md §4.
 //
 // See internal/server for the endpoint list, OPERATIONS.md for running
 // the daemon in production, and DESIGN.md for the architecture.
