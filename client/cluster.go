@@ -471,7 +471,7 @@ func (ns *ClusterNamespace) CounterAdd(keys [][]byte, counts []int) error {
 	}
 	return ns.cl.fan(ns.cl.split(keys, counts, true), func(c *Client, b *nodeBatch) error {
 		_, err := c.Namespace(ns.name).do(&wire.Request{
-			Op: wire.OpMultiplicityAdd, KeyWidth: keyWidth(b.keys), Keys: b.keys, Counts: b.counts})
+			Op: wire.OpMultiplicityAdd, KeyWidth: wire.KeyWidth(b.keys), Keys: b.keys, Counts: b.counts})
 		return err
 	})
 }

@@ -56,7 +56,7 @@ func medianRatio(t *testing.T, rounds int, ratio func(ns []float64) float64, sid
 // members, and 64Ki probes that alternate member and non-member.
 func gateKeys() (members, probes [][]byte) {
 	const nMembers = 1 << 16
-	_, pool := flowkeys.Keys(2 * nMembers)
+	pool := flowkeys.Keys(2 * nMembers)
 	members = pool[:nMembers]
 	probes = append([][]byte{}, pool[nMembers:]...)
 	for i := 0; i < len(probes); i += 2 {

@@ -129,24 +129,6 @@ func (ns *Namespace) do(req *wire.Request) (*wire.Response, error) {
 	return ns.c.do(req)
 }
 
-// keyWidth returns the shared key length when every key has it (the
-// packed fixed-width encoding), else 0 (per-key length prefixes).
-func keyWidth(keys [][]byte) int {
-	if len(keys) == 0 {
-		return 0
-	}
-	w := len(keys[0])
-	if w == 0 || w > wire.MaxKeyWidth {
-		return 0
-	}
-	for _, k := range keys[1:] {
-		if len(k) != w {
-			return 0
-		}
-	}
-	return w
-}
-
 // errBox is the sticky first-error store behind the interface-shaped
 // (error-less) handle methods.
 type errBox struct {
@@ -187,7 +169,7 @@ func (ns *Namespace) Set() *Set { return &Set{ns: ns} }
 
 // AddAll inserts a batch of keys.
 func (s *Set) AddAll(keys [][]byte) error {
-	_, err := s.ns.do(&wire.Request{Op: wire.OpMembershipAdd, KeyWidth: keyWidth(keys), Keys: keys})
+	_, err := s.ns.do(&wire.Request{Op: wire.OpMembershipAdd, KeyWidth: wire.KeyWidth(keys), Keys: keys})
 	return err
 }
 
@@ -206,7 +188,7 @@ func (s *Set) ContainsAll(dst []bool, keys [][]byte) []bool {
 
 // Check is ContainsAll with an error return.
 func (s *Set) Check(keys [][]byte) ([]bool, error) {
-	resp, err := s.ns.do(&wire.Request{Op: wire.OpMembershipContains, KeyWidth: keyWidth(keys), Keys: keys})
+	resp, err := s.ns.do(&wire.Request{Op: wire.OpMembershipContains, KeyWidth: wire.KeyWidth(keys), Keys: keys})
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +241,7 @@ func (c *Counter) Insert(e []byte) error { return c.InsertCount(e, 1) }
 // a conflict (IsConflict).
 func (c *Counter) Delete(e []byte) error {
 	keys := [][]byte{e}
-	_, err := c.ns.do(&wire.Request{Op: wire.OpMultiplicityRemove, KeyWidth: keyWidth(keys), Keys: keys})
+	_, err := c.ns.do(&wire.Request{Op: wire.OpMultiplicityRemove, KeyWidth: wire.KeyWidth(keys), Keys: keys})
 	return err
 }
 
@@ -271,14 +253,14 @@ func (c *Counter) InsertCount(e []byte, n int) error {
 		return fmt.Errorf("client: negative count %d", n)
 	}
 	keys := [][]byte{e}
-	_, err := c.ns.do(&wire.Request{Op: wire.OpMultiplicityAdd, KeyWidth: keyWidth(keys),
+	_, err := c.ns.do(&wire.Request{Op: wire.OpMultiplicityAdd, KeyWidth: wire.KeyWidth(keys),
 		Keys: keys, Counts: []int{n}})
 	return err
 }
 
 // AddAll increments each key once (the shbf.Adder shape).
 func (c *Counter) AddAll(keys [][]byte) error {
-	_, err := c.ns.do(&wire.Request{Op: wire.OpMultiplicityAdd, KeyWidth: keyWidth(keys), Keys: keys})
+	_, err := c.ns.do(&wire.Request{Op: wire.OpMultiplicityAdd, KeyWidth: wire.KeyWidth(keys), Keys: keys})
 	return err
 }
 
@@ -296,7 +278,7 @@ func (c *Counter) CountAll(dst []int, keys [][]byte) []int {
 
 // Counts is CountAll with an error return.
 func (c *Counter) Counts(keys [][]byte) ([]int, error) {
-	resp, err := c.ns.do(&wire.Request{Op: wire.OpMultiplicityCount, KeyWidth: keyWidth(keys), Keys: keys})
+	resp, err := c.ns.do(&wire.Request{Op: wire.OpMultiplicityCount, KeyWidth: wire.KeyWidth(keys), Keys: keys})
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +322,7 @@ func (a *Associator) update(op byte, set int, keys [][]byte) error {
 	if set != 1 && set != 2 {
 		return fmt.Errorf("client: set must be 1 or 2, got %d", set)
 	}
-	_, err := a.ns.do(&wire.Request{Op: op, Set: byte(set), KeyWidth: keyWidth(keys), Keys: keys})
+	_, err := a.ns.do(&wire.Request{Op: op, Set: byte(set), KeyWidth: wire.KeyWidth(keys), Keys: keys})
 	return err
 }
 
@@ -382,7 +364,7 @@ func (a *Associator) QueryAll(dst []shbf.Region, keys [][]byte) []shbf.Region {
 
 // Classify is QueryAll with an error return.
 func (a *Associator) Classify(keys [][]byte) ([]shbf.Region, error) {
-	resp, err := a.ns.do(&wire.Request{Op: wire.OpAssociationQuery, KeyWidth: keyWidth(keys), Keys: keys})
+	resp, err := a.ns.do(&wire.Request{Op: wire.OpAssociationQuery, KeyWidth: wire.KeyWidth(keys), Keys: keys})
 	if err != nil {
 		return nil, err
 	}

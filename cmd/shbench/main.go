@@ -9,19 +9,15 @@
 //	              updates|costmodel|multiset|skew|zoo|window]
 //	        [-out dir] [-svg] [-quick] [-seed N] [-trials N] [-probes N]
 //	        [-assoc-size N] [-mult-size N]
-//	shbench -perf [-perf-out BENCH_PR3.json] [-perf-baseline old.json]
-//	        [-perf-note text]
 //
 // Examples:
 //
 //	shbench -fig all -out results    # full reproduction
 //	shbench -fig 9 -quick            # one figure, test-scale
-//	shbench -perf                    # hot-path ns/op suite → BENCH_PR3.json
 //
-// The -perf mode measures the Add/Contains/AddAll/ContainsAll hot
-// paths (scalar and sharded, k ∈ {4,8,16}, 13-byte keys), writes a
-// machine-readable JSON report, and exits nonzero if any measured hot
-// path allocates — CI runs it as the perf/allocation gate.
+// The hot-path timings behind Figure 9 are the root package's Perf
+// benchmarks (`go test -bench Perf -run '^$' .`), and every `go test`
+// holds them to zero allocations (TestPerfHotPathsAllocateNothing).
 package main
 
 import (
@@ -46,20 +42,8 @@ func main() {
 		assocSize = flag.Int("assoc-size", 0, "override |S1|=|S2| for Figure 10 (0 = default)")
 		multSize  = flag.Int("mult-size", 0, "override distinct elements for Figure 11 (0 = default)")
 		svg       = flag.Bool("svg", false, "with -out: also write one .svg chart per figure")
-		perf      = flag.Bool("perf", false, "run the hot-path perf suite instead of the figures and write machine-readable JSON")
-		perfOut   = flag.String("perf-out", "BENCH_PR3.json", "with -perf: output file")
-		perfBase  = flag.String("perf-baseline", "", "with -perf: previous BENCH_*.json to embed as the baseline section")
-		perfNote  = flag.String("perf-note", "", "with -perf: free-form note recorded in the report")
 	)
 	flag.Parse()
-
-	if *perf {
-		if err := runPerf(*perfOut, *perfBase, *perfNote); err != nil {
-			fmt.Fprintln(os.Stderr, "shbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	cfg := experiment.Default()
 	if *quick {

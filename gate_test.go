@@ -64,7 +64,7 @@ func frozenGateFilter(t *testing.T) (live shbf.Set, blob []byte, fz *shbf.Frozen
 		t.Fatal(err)
 	}
 	live = f.(shbf.Set)
-	_, pool := flowkeys.Keys(2 * nMembers)
+	pool := flowkeys.Keys(2 * nMembers)
 	members := pool[:nMembers]
 	if err := live.AddAll(members); err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestGateFrozenOpen(t *testing.T) {
 // shape: one mapped file of per-SSTable filters).
 func TestGateFrozenStackOpen(t *testing.T) {
 	const filters = 10_000
-	_, members := flowkeys.Keys(1 << 16)
+	members := flowkeys.Keys(1 << 16)
 	var sb shbf.FrozenStackBuilder
 	for i := 0; i < filters; i++ {
 		f, err := shbf.New(shbf.Spec{Kind: shbf.KindMembership, M: 1 << 12, K: 8, Seed: 2})

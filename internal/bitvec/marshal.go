@@ -23,7 +23,8 @@ func (v *Vector) AppendBinary(buf []byte) []byte {
 }
 
 // DecodeVector reads a vector serialized by AppendBinary from buf,
-// returning the vector and the remaining bytes.
+// returning the vector and the remaining bytes. It allocates only once
+// buf holds every word the length declares.
 func DecodeVector(buf []byte) (*Vector, []byte, error) {
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 {
@@ -33,11 +34,11 @@ func DecodeVector(buf []byte) (*Vector, []byte, error) {
 	if n == 0 || n > 1<<40 {
 		return nil, nil, fmt.Errorf("bitvec: implausible bit length %d", n)
 	}
-	v := New(int(n))
 	dataWords := (int(n) + 63) / 64
 	if len(buf) < dataWords*8 {
 		return nil, nil, fmt.Errorf("bitvec: truncated words: need %d bytes, have %d", dataWords*8, len(buf))
 	}
+	v := New(int(n))
 	for i := 0; i < dataWords; i++ {
 		v.words[i] = binary.LittleEndian.Uint64(buf[i*8:])
 	}

@@ -44,6 +44,35 @@ func checkGeometry(m, k, n uint64) error {
 	return nil
 }
 
+// checkLens refuses decoded arrays whose length is not the m+slack−1
+// entries (the base array and its offset slack) the header declares.
+// Decoders decode and check their arrays before they construct, so a
+// header of a few bytes cannot make them allocate arrays the input does
+// not carry. The constructor still validates slack, and an in-range
+// slack cannot wrap the sum, so an accepted array is the constructor's
+// length.
+func checkLens(m, slack uint64, lens ...int) error {
+	for _, n := range lens {
+		if want := m + slack - 1; uint64(n) != want {
+			return fmt.Errorf("core: array length %d does not match geometry %d", n, want)
+		}
+	}
+	return nil
+}
+
+// decodeBits decodes the bit array that ends a blob, checking it with
+// checkLens.
+func decodeBits(buf []byte, m, slack uint64) (*bitvec.Vector, error) {
+	bits, rest, err := bitvec.DecodeVector(buf)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("core: %d trailing bytes", len(rest))
+	}
+	return bits, checkLens(m, slack, bits.Len())
+}
+
 // Filter kind tags in the serialized header.
 const (
 	kindMembership byte = iota + 1
@@ -123,19 +152,13 @@ func (f *Membership) UnmarshalBinary(data []byte) error {
 	if err := checkGeometry(m, k, n); err != nil {
 		return err
 	}
-	fresh, err := NewMembership(int(m), int(k), WithMaxOffset(int(wbar)), WithSeed(seed))
-	if err != nil {
-		return fmt.Errorf("core: decoding membership filter: %w", err)
-	}
-	bits, rest, err := bitvec.DecodeVector(buf)
+	bits, err := decodeBits(buf, m, wbar)
 	if err != nil {
 		return err
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("core: %d trailing bytes", len(rest))
-	}
-	if bits.Len() != fresh.bits.Len() {
-		return fmt.Errorf("core: bit array length %d does not match geometry %d", bits.Len(), fresh.bits.Len())
+	fresh, err := NewMembership(int(m), int(k), WithMaxOffset(int(wbar)), WithSeed(seed))
+	if err != nil {
+		return fmt.Errorf("core: decoding membership filter: %w", err)
 	}
 	fresh.bits = bits
 	fresh.n = int(n)
@@ -167,10 +190,6 @@ func (c *CountingMembership) UnmarshalBinary(data []byte) error {
 	if err := checkGeometry(m, k, n); err != nil {
 		return err
 	}
-	inner, err := NewMembership(int(m), int(k), WithMaxOffset(int(wbar)), WithSeed(seed))
-	if err != nil {
-		return fmt.Errorf("core: decoding counting membership: %w", err)
-	}
 	bits, buf, err := bitvec.DecodeVector(buf)
 	if err != nil {
 		return err
@@ -182,8 +201,12 @@ func (c *CountingMembership) UnmarshalBinary(data []byte) error {
 	if len(rest) != 0 {
 		return fmt.Errorf("core: %d trailing bytes", len(rest))
 	}
-	if bits.Len() != inner.bits.Len() || counts.Len() != inner.bits.Len() {
-		return fmt.Errorf("core: array lengths do not match geometry")
+	if err := checkLens(m, wbar, bits.Len(), counts.Len()); err != nil {
+		return err
+	}
+	inner, err := NewMembership(int(m), int(k), WithMaxOffset(int(wbar)), WithSeed(seed))
+	if err != nil {
+		return fmt.Errorf("core: decoding counting membership: %w", err)
 	}
 	inner.bits = bits
 	inner.n = int(n)
@@ -213,19 +236,13 @@ func (f *TShift) UnmarshalBinary(data []byte) error {
 	if err := checkGeometry(m, k, n); err != nil {
 		return err
 	}
-	fresh, err := NewTShift(int(m), int(k), int(t), WithMaxOffset(int(wbar)), WithSeed(seed))
-	if err != nil {
-		return fmt.Errorf("core: decoding t-shift filter: %w", err)
-	}
-	bits, rest, err := bitvec.DecodeVector(buf)
+	bits, err := decodeBits(buf, m, wbar)
 	if err != nil {
 		return err
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("core: %d trailing bytes", len(rest))
-	}
-	if bits.Len() != fresh.bits.Len() {
-		return fmt.Errorf("core: bit array length mismatch")
+	fresh, err := NewTShift(int(m), int(k), int(t), WithMaxOffset(int(wbar)), WithSeed(seed))
+	if err != nil {
+		return fmt.Errorf("core: decoding t-shift filter: %w", err)
 	}
 	fresh.bits = bits
 	fresh.n = int(n)
@@ -256,19 +273,13 @@ func (a *Association) UnmarshalBinary(data []byte) error {
 	if err := checkGeometry(m, k, n1+n2); err != nil {
 		return err
 	}
-	fresh, err := BuildAssociation(nil, nil, int(m), int(k), WithMaxOffset(int(wbar)), WithSeed(seed))
-	if err != nil {
-		return fmt.Errorf("core: decoding association filter: %w", err)
-	}
-	bits, rest, err := bitvec.DecodeVector(buf)
+	bits, err := decodeBits(buf, m, wbar)
 	if err != nil {
 		return err
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("core: %d trailing bytes", len(rest))
-	}
-	if bits.Len() != fresh.bits.Len() {
-		return fmt.Errorf("core: bit array length mismatch")
+	fresh, err := BuildAssociation(nil, nil, int(m), int(k), WithMaxOffset(int(wbar)), WithSeed(seed))
+	if err != nil {
+		return fmt.Errorf("core: decoding association filter: %w", err)
 	}
 	fresh.bits = bits
 	fresh.n1, fresh.n2, fresh.nBoth = int(n1), int(n2), int(nBoth)
@@ -301,10 +312,6 @@ func (a *CountingAssociation) UnmarshalBinary(data []byte) error {
 	if err := checkGeometry(m, k, 0); err != nil {
 		return err
 	}
-	fresh, err := NewCountingAssociation(int(m), int(k), WithMaxOffset(int(wbar)), WithSeed(seed))
-	if err != nil {
-		return fmt.Errorf("core: decoding counting association: %w", err)
-	}
 	bits, buf, err := bitvec.DecodeVector(buf)
 	if err != nil {
 		return err
@@ -312,6 +319,13 @@ func (a *CountingAssociation) UnmarshalBinary(data []byte) error {
 	counts, buf, err := counters.DecodeArray(buf)
 	if err != nil {
 		return err
+	}
+	if err := checkLens(m, wbar, bits.Len(), counts.Len()); err != nil {
+		return err
+	}
+	fresh, err := NewCountingAssociation(int(m), int(k), WithMaxOffset(int(wbar)), WithSeed(seed))
+	if err != nil {
+		return fmt.Errorf("core: decoding counting association: %w", err)
 	}
 	if buf, err = fresh.sets.DecodeSetInto(buf, inS1); err != nil {
 		return err
@@ -322,9 +336,6 @@ func (a *CountingAssociation) UnmarshalBinary(data []byte) error {
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("core: %d trailing bytes", len(rest))
-	}
-	if bits.Len() != fresh.bits.Len() || counts.Len() != fresh.counts.Len() {
-		return fmt.Errorf("core: array lengths do not match geometry")
 	}
 	fresh.sets.Range(func(_ []byte, v uint64) bool {
 		fresh.count(v, 1)
@@ -357,19 +368,13 @@ func (f *Multiplicity) UnmarshalBinary(data []byte) error {
 	if err := checkGeometry(m, k, n); err != nil {
 		return err
 	}
-	fresh, err := NewMultiplicity(int(m), int(k), int(c), WithSeed(seed))
-	if err != nil {
-		return fmt.Errorf("core: decoding multiplicity filter: %w", err)
-	}
-	bits, rest, err := bitvec.DecodeVector(buf)
+	bits, err := decodeBits(buf, m, c)
 	if err != nil {
 		return err
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("core: %d trailing bytes", len(rest))
-	}
-	if bits.Len() != fresh.bits.Len() {
-		return fmt.Errorf("core: bit array length mismatch")
+	fresh, err := NewMultiplicity(int(m), int(k), int(c), WithSeed(seed))
+	if err != nil {
+		return fmt.Errorf("core: decoding multiplicity filter: %w", err)
 	}
 	fresh.bits = bits
 	fresh.n = int(n)
@@ -410,14 +415,6 @@ func (f *CountingMultiplicity) UnmarshalBinary(data []byte) error {
 	if err := checkGeometry(m, k, 0); err != nil {
 		return err
 	}
-	opts := []Option{WithSeed(seed)}
-	if unsafeFlag != 0 {
-		opts = append(opts, WithUnsafeUpdates())
-	}
-	fresh, err := NewCountingMultiplicity(int(m), int(k), int(c), opts...)
-	if err != nil {
-		return fmt.Errorf("core: decoding counting multiplicity: %w", err)
-	}
 	bits, buf, err := bitvec.DecodeVector(buf)
 	if err != nil {
 		return err
@@ -426,20 +423,28 @@ func (f *CountingMultiplicity) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
+	var table *hashtable.Table
 	if unsafeFlag == 0 {
-		table := hashtable.New(seed + 3)
+		table = hashtable.New(seed + 3)
 		if buf, err = table.DecodeInto(buf); err != nil {
 			return err
 		}
-		fresh.table = table
 	}
 	if len(buf) != 0 {
 		return fmt.Errorf("core: %d trailing bytes", len(buf))
 	}
-	if bits.Len() != fresh.bits.Len() || counts.Len() != fresh.counts.Len() {
-		return fmt.Errorf("core: array lengths do not match geometry")
+	if err := checkLens(m, c, bits.Len(), counts.Len()); err != nil {
+		return err
 	}
-	fresh.bits, fresh.counts = bits, counts
+	opts := []Option{WithSeed(seed)}
+	if unsafeFlag != 0 {
+		opts = append(opts, WithUnsafeUpdates())
+	}
+	fresh, err := NewCountingMultiplicity(int(m), int(k), int(c), opts...)
+	if err != nil {
+		return fmt.Errorf("core: decoding counting multiplicity: %w", err)
+	}
+	fresh.bits, fresh.counts, fresh.table = bits, counts, table
 	*f = *fresh
 	return nil
 }
@@ -483,20 +488,14 @@ func (a *MultiAssociation) UnmarshalBinary(data []byte) error {
 			return err
 		}
 	}
+	bits, err := decodeBits(buf, m, wbar)
+	if err != nil {
+		return err
+	}
 	fresh, err := BuildMultiAssociation(make([][][]byte, g), int(m), int(k),
 		WithMaxOffset(int(wbar)), WithSeed(seed))
 	if err != nil {
 		return fmt.Errorf("core: decoding multi-association filter: %w", err)
-	}
-	bits, rest, err := bitvec.DecodeVector(buf)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("core: %d trailing bytes", len(rest))
-	}
-	if bits.Len() != fresh.bits.Len() {
-		return fmt.Errorf("core: bit array length mismatch")
 	}
 	fresh.bits = bits
 	for i, sz := range sizes {
@@ -531,24 +530,26 @@ func (s *SCMSketch) UnmarshalBinary(data []byte) error {
 	if err := checkGeometry(r, d, 0); err != nil {
 		return err
 	}
-	fresh, err := NewSCMSketch(int(d), int(r), WithSeed(seed), WithCounterWidth(uint(width)))
-	if err != nil {
-		return fmt.Errorf("core: decoding SCM sketch: %w", err)
-	}
-	for i := range fresh.rows {
+	var rows []*counters.Array
+	for i := uint64(0); i < d/2; i++ {
 		row, rest, err := counters.DecodeArray(buf)
 		if err != nil {
 			return fmt.Errorf("core: decoding SCM row %d: %w", i, err)
 		}
-		if row.Len() != fresh.rows[i].Len() || row.Width() != fresh.rows[i].Width() {
+		if uint64(row.Width()) != width || row.Len() != int(r)+scmMaxOffset(row.Width()) {
 			return fmt.Errorf("core: SCM row %d geometry mismatch", i)
 		}
-		fresh.rows[i] = row
+		rows = append(rows, row)
 		buf = rest
 	}
 	if len(buf) != 0 {
 		return fmt.Errorf("core: %d trailing bytes", len(buf))
 	}
+	fresh, err := NewSCMSketch(int(d), int(r), WithSeed(seed), WithCounterWidth(uint(width)))
+	if err != nil {
+		return fmt.Errorf("core: decoding SCM sketch: %w", err)
+	}
+	copy(fresh.rows, rows)
 	*s = *fresh
 	return nil
 }

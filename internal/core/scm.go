@@ -28,6 +28,11 @@ type SCMSketch struct {
 	seed      uint64
 }
 
+// scmMaxOffset is the offset bound for counters of width bits,
+// max(2, (w−7)/width), so that a row's counter pair is one memory
+// access (Section 5.5).
+func scmMaxOffset(width uint) int { return max(2, (WordBits-7)/int(width)) }
+
 // NewSCMSketch returns an SCM sketch with logical depth d (an even
 // number, matching a CM sketch with d rows) and r base counters per
 // row. Counter width defaults to 32 bits (override with
@@ -44,10 +49,7 @@ func NewSCMSketch(d, r int, opts ...Option) (*SCMSketch, error) {
 	if r < 1 {
 		return nil, fmt.Errorf("core: row size r = %d must be ≥ 1", r)
 	}
-	maxOffset := (WordBits - 7) / int(cfg.counterWidth)
-	if maxOffset < 2 {
-		maxOffset = 2
-	}
+	maxOffset := scmMaxOffset(cfg.counterWidth)
 	s := &SCMSketch{
 		rows:      make([]*counters.Array, d/2),
 		d:         d,

@@ -22,7 +22,8 @@ func (a *Array) AppendBinary(buf []byte) []byte {
 }
 
 // DecodeArray reads an array serialized by AppendBinary from buf,
-// returning the array and the remaining bytes.
+// returning the array and the remaining bytes. It allocates only once
+// buf holds every word the count and width declare.
 func DecodeArray(buf []byte) (*Array, []byte, error) {
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 {
@@ -46,13 +47,14 @@ func DecodeArray(buf []byte) (*Array, []byte, error) {
 	if width < 1 || width > 64 {
 		return nil, nil, fmt.Errorf("counters: width %d out of range", width)
 	}
+	words := (int(n)*int(width) + 63) / 64
+	if len(buf) < words*8 {
+		return nil, nil, fmt.Errorf("counters: truncated words: need %d bytes, have %d", words*8, len(buf))
+	}
 	a := New(int(n), uint(width))
 	a.overflows = overflows
-	if len(buf) < len(a.words)*8 {
-		return nil, nil, fmt.Errorf("counters: truncated words: need %d bytes, have %d", len(a.words)*8, len(buf))
-	}
 	for i := range a.words {
 		a.words[i] = binary.LittleEndian.Uint64(buf[i*8:])
 	}
-	return a, buf[len(a.words)*8:], nil
+	return a, buf[words*8:], nil
 }

@@ -1,8 +1,7 @@
 // Package flowkeys generates the deterministic 13-byte 5-tuple
-// flow-ID workload shared by the perf suite's two faces —
-// `cmd/shbench -perf` (the BENCH_*.json emitter) and the root
-// package's Perf* benchmarks — and by the TestGate* timing gates, so
-// they all measure identical keys and their numbers stay comparable.
+// flow-ID workload shared by the root package's Perf benchmarks and
+// allocation test and by the TestGate* timing gates, so they all
+// measure identical keys and their numbers stay comparable.
 package flowkeys
 
 import "shbf/internal/hashing"
@@ -10,12 +9,10 @@ import "shbf/internal/hashing"
 // KeyBytes is the element size: the paper's 13-byte 5-tuple flow ID.
 const KeyBytes = 13
 
-// Keys returns n deterministic 13-byte keys: one flat backing array
-// (scalar benchmark bodies slice it directly, so the measurement is
-// the operation's cost rather than a walk over slice headers) plus the
-// [][]byte view the batch APIs take.
-func Keys(n int) (flat []byte, keys [][]byte) {
-	flat = make([]byte, n*KeyBytes)
+// Keys returns n deterministic 13-byte keys, slices of one flat
+// backing array.
+func Keys(n int) [][]byte {
+	flat := make([]byte, n*KeyBytes)
 	state := uint64(0x5b8f_bee5)
 	for i := 0; i+8 <= len(flat); i += 8 {
 		v := hashing.SplitMix64(&state)
@@ -23,9 +20,9 @@ func Keys(n int) (flat []byte, keys [][]byte) {
 			flat[i+b] = byte(v >> (8 * b))
 		}
 	}
-	keys = make([][]byte, n)
+	keys := make([][]byte, n)
 	for i := range keys {
 		keys[i] = flat[i*KeyBytes : (i+1)*KeyBytes]
 	}
-	return flat, keys
+	return keys
 }

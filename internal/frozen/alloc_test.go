@@ -18,7 +18,7 @@ import (
 // TestFrozenZeroAlloc is the zero-allocation guard on the frozen query
 // path: Contains and ContainsAll (with a reused dst) must not allocate.
 func TestFrozenZeroAlloc(t *testing.T) {
-	_, keys := flowkeys.Keys(4096)
+	keys := flowkeys.Keys(4096)
 	live, err := sharded.New(1<<18, 8, 4, core.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)

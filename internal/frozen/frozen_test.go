@@ -23,7 +23,7 @@ const probeCount = 1 << 20
 // half-member, half-foreign mix of probeCount keys) from one
 // deterministic pool.
 func equivalenceKeys(nMembers int) (members, probes [][]byte) {
-	_, pool := flowkeys.Keys(nMembers + probeCount)
+	pool := flowkeys.Keys(nMembers + probeCount)
 	members = pool[:nMembers]
 	probes = append([][]byte{}, pool[nMembers:]...)
 	for i := 0; i < len(probes); i += 2 {
@@ -104,7 +104,7 @@ func TestFrozenEquivalenceCounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, keys := flowkeys.Keys(4096)
+	keys := flowkeys.Keys(4096)
 	for _, k := range keys[:2048] {
 		if err := live.Insert(k); err != nil {
 			t.Fatal(err)
@@ -133,7 +133,7 @@ func TestFrozenEquivalenceCounting(t *testing.T) {
 // ring's frozen form answers a superset (never a false negative for
 // any in-window key).
 func TestFrozenEquivalenceWindow(t *testing.T) {
-	_, keys := flowkeys.Keys(3 << 12)
+	keys := flowkeys.Keys(3 << 12)
 	spec := core.Spec{Kind: core.KindWindowMembership, M: 1 << 16, K: 8, Seed: 11,
 		MaxOffset: core.DefaultMaxOffset, Generations: 3}
 	live, err := window.NewMembership(spec)
@@ -194,7 +194,7 @@ func TestFrozenEquivalenceWindow(t *testing.T) {
 }
 
 func TestFrozenEquivalenceShardedWindow(t *testing.T) {
-	_, keys := flowkeys.Keys(1 << 13)
+	keys := flowkeys.Keys(1 << 13)
 	spec := core.Spec{Kind: core.KindWindowShardedMembership, M: 1 << 18, K: 8, Seed: 13,
 		MaxOffset: core.DefaultMaxOffset, Generations: 2, Shards: 4}
 	live, err := sharded.NewWindow(spec)
@@ -415,7 +415,7 @@ type goldenSource struct {
 // kind.
 func goldenSources(t *testing.T) []goldenSource {
 	t.Helper()
-	_, keys := flowkeys.Keys(1 << 13)
+	keys := flowkeys.Keys(1 << 13)
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -507,7 +507,7 @@ func TestOpenRejectsCorruption(t *testing.T) {
 }
 
 func TestStackRoundTrip(t *testing.T) {
-	_, keys := flowkeys.Keys(1 << 12)
+	keys := flowkeys.Keys(1 << 12)
 	var b StackBuilder
 	lives := make([]*core.Membership, 8)
 	for i := range lives {
@@ -611,7 +611,7 @@ func TestAppendFrozenRejectsGarbage(t *testing.T) {
 // "-bench Frozen" smoke); the gated live-vs-frozen comparison is the
 // root package's TestGateFrozenVsLive (-tags perfgate).
 func BenchmarkFrozenContainsAll(b *testing.B) {
-	_, keys := flowkeys.Keys(4096)
+	keys := flowkeys.Keys(4096)
 	live, err := core.NewMembership(1<<18, 8, core.WithSeed(3))
 	if err != nil {
 		b.Fatal(err)

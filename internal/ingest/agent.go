@@ -7,6 +7,7 @@ import (
 
 	"shbf"
 	"shbf/internal/sharded"
+	"shbf/internal/wire"
 )
 
 // The edge agent. An agent sits where keys are born — a packet tap, a
@@ -273,7 +274,7 @@ func (a *Agent) flushKeysLocked() error {
 		if err := a.sendLocked(&Datagram{
 			Type:      TypeAddBatch,
 			Namespace: a.cfg.Namespace,
-			KeyWidth:  uniformWidth(keys[:batch]),
+			KeyWidth:  wire.KeyWidth(keys[:batch]),
 			Keys:      keys[:batch],
 		}); err != nil {
 			// Sent prefixes stay sent; keep the rest buffered.
@@ -347,24 +348,6 @@ func (a *Agent) Stats() AgentStats {
 	s := a.stats
 	s.Buffered = len(a.keys)
 	return s
-}
-
-// uniformWidth returns the shared key length if every key has it (the
-// packed fixed-width fast path), else 0 (per-key lengths).
-func uniformWidth(keys [][]byte) int {
-	if len(keys) == 0 {
-		return 0
-	}
-	w := len(keys[0])
-	for _, k := range keys[1:] {
-		if len(k) != w {
-			return 0
-		}
-	}
-	if w == 0 || w > 0xffff {
-		return 0
-	}
-	return w
 }
 
 // packedBound is the conservative packed-size bound flushKeysLocked

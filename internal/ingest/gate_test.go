@@ -22,7 +22,7 @@ func TestGateEnvelopeWireRatio(t *testing.T) {
 	cfg := server.DefaultConfig()
 	cfg.MembershipBits = 1 << 20
 	memSpec, _, _ := cfg.Specs()
-	_, keys := flowkeys.Keys(flushKeys)
+	keys := flowkeys.Keys(flushKeys)
 
 	bytesPerKey := func(acfg ingest.AgentConfig) float64 {
 		a, err := ingest.NewAgent(io.Discard, acfg)

@@ -459,6 +459,11 @@ func decodeSnapshot[F any, PF shard[F]](data []byte, kind byte) (set[PF], error)
 	if count == 0 || count > maxShards || count&(count-1) != 0 {
 		return set[PF]{}, fmt.Errorf("sharded: implausible shard count %d", count)
 	}
+	// Every shard takes at least its length byte: refuse a count the
+	// bytes cannot carry before allocating its entries.
+	if count > uint64(len(buf)) {
+		return set[PF]{}, fmt.Errorf("sharded: %d shards declared in %d bytes", count, len(buf))
+	}
 	s := set[PF]{
 		shards: make([]entry[PF], count),
 		mask:   count - 1,

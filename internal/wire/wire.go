@@ -267,6 +267,24 @@ type Request struct {
 	Blob []byte
 }
 
+// KeyWidth returns the shared key length when every key has it (the
+// packed fixed-width encoding), else 0 (per-key length prefixes).
+func KeyWidth(keys [][]byte) int {
+	if len(keys) == 0 {
+		return 0
+	}
+	w := len(keys[0])
+	if w == 0 || w > MaxKeyWidth {
+		return 0
+	}
+	for _, k := range keys[1:] {
+		if len(k) != w {
+			return 0
+		}
+	}
+	return w
+}
+
 // AppendPackedKeys appends the ShBP key block — key width (u16, 0 =
 // variable), key count (u32), then the packed keys — to dst. With
 // width > 0 every key must be exactly width bytes and keys pack back

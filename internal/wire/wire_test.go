@@ -161,6 +161,26 @@ func TestPackedKeysRoundTrip(t *testing.T) {
 	}
 }
 
+func TestKeyWidth(t *testing.T) {
+	wide := make([]byte, MaxKeyWidth+1)
+	for _, tc := range []struct {
+		name string
+		keys [][]byte
+		want int
+	}{
+		{"none", nil, 0},
+		{"shared", [][]byte{[]byte("abc"), []byte("def")}, 3},
+		{"mixed", [][]byte{[]byte("abc"), []byte("de")}, 0},
+		{"empty keys", [][]byte{{}, {}}, 0},
+		{"widest", [][]byte{wide[:MaxKeyWidth]}, MaxKeyWidth},
+		{"too wide", [][]byte{wide, wide}, 0},
+	} {
+		if got := KeyWidth(tc.keys); got != tc.want {
+			t.Errorf("%s: KeyWidth = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestRequestEncodingRejectsMismatchedWidth(t *testing.T) {
 	_, err := AppendRequest(nil, &Request{
 		Op: OpMembershipAdd, KeyWidth: 4, Keys: [][]byte{[]byte("abc")},
