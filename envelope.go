@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"shbf/internal/core"
 	"shbf/internal/sharded"
@@ -193,12 +194,40 @@ func Load(r io.Reader) (Filter, error) {
 	if n > maxEnvelopePayload {
 		return nil, fmt.Errorf("shbf: implausible envelope payload length %d", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	payload, err := readPayload(br, n)
+	if err != nil {
 		return nil, fmt.Errorf("shbf: envelope payload truncated: %w", err)
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("shbf: trailing bytes after envelope")
 	}
 	return decodePayload(kind, payload)
+}
+
+// payloadStep is the first size of Load's payload buffer.
+const payloadStep = 64 << 10
+
+// readPayload reads exactly n bytes from r. Its buffer doubles from
+// payloadStep up to n as bytes arrive, so a stream that declares more
+// than it holds costs about what it sent, not what it declared.
+func readPayload(r io.Reader, n uint64) ([]byte, error) {
+	lr := io.LimitReader(r, int64(n))
+	buf := make([]byte, 0, min(n, payloadStep))
+	for uint64(len(buf)) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, int(min(uint64(len(buf)), n-uint64(len(buf)))))
+		}
+		m, err := lr.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if uint64(len(buf)) < n {
+		return nil, io.ErrUnexpectedEOF
+	}
+	return buf, nil
 }

@@ -1,8 +1,11 @@
 package shbf_test
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"shbf"
@@ -83,5 +86,55 @@ func TestDecodeRefusesHostileHeadersBeforeAllocating(t *testing.T) {
 			t.Errorf("%s: refusing a %d-byte envelope allocated %.1f MiB (%v)",
 				tc.name, len(tc.env), float64(alloc)/(1<<20), err)
 		}
+	}
+}
+
+// TestLoadAllocatesOnlyForBytesThatArrive feeds Load a 10-byte stream
+// whose envelope declares a 2^27-byte payload: it must be refused as
+// truncated with less than 1 MiB allocated. A valid envelope whose
+// payload spans several buffer doublings still loads byte for byte.
+func TestLoadAllocatesOnlyForBytesThatArrive(t *testing.T) {
+	short := hostileEnvelope(shbf.KindMembership, nil)[:6]
+	short = binary.AppendUvarint(short, 1<<27)
+	if len(short) != 10 {
+		t.Fatalf("stream is %d bytes, want 10", len(short))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := shbf.Load(bytes.NewReader(short))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("Load of a truncated stream: %v", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("refusing a 10-byte stream allocated %.1f MiB", float64(alloc)/(1<<20))
+	}
+
+	f, err := shbf.New(shbf.Spec{Kind: shbf.KindMembership, M: 1 << 22, K: 6, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := f.(shbf.Set)
+	for i := range 10_000 {
+		set.Add([]byte(fmt.Sprintf("key-%d", i)))
+	}
+	var dump bytes.Buffer
+	if err := shbf.Dump(&dump, f); err != nil {
+		t.Fatal(err)
+	}
+	want := dump.Bytes()
+	got, err := shbf.Load(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := shbf.Dump(&again, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), want) {
+		t.Fatalf("a %d-byte envelope did not load back byte for byte", len(want))
+	}
+	if _, err := shbf.Load(bytes.NewReader(want[:len(want)-1])); err == nil {
+		t.Fatal("an envelope one byte short loaded")
 	}
 }

@@ -102,6 +102,11 @@ func (n *Node) Kill() {
 	n.killed = true
 	n.cancel()        // closes the ShBP listener and its connections
 	n.httpSrv.Close() // closes the HTTP listener and its connections
+	// http.Server.Close misses a listener that Serve's goroutine has not
+	// registered yet; Serve would close it later, on its own goroutine,
+	// possibly after Restart has failed to rebind the port. Close it
+	// here too (Serve's later close of a closed listener is harmless).
+	n.httpLn.Close()
 	<-n.shbpDone
 }
 

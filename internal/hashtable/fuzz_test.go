@@ -52,11 +52,21 @@ func modelEncoding(ref map[string]uint64) []byte {
 	return buf
 }
 
-// checkModel compares every stored entry with the model.
+// checkModel compares every stored entry with the model, and the spill
+// map with the model's values of spilled or more.
 func checkModel(t *testing.T, tab *Table, ref map[string]uint64) {
 	t.Helper()
 	if tab.Len() != len(ref) {
 		t.Fatalf("Len = %d, model has %d", tab.Len(), len(ref))
+	}
+	spills := 0
+	for _, v := range ref {
+		if v >= spilled {
+			spills++
+		}
+	}
+	if len(tab.spill) != spills {
+		t.Fatalf("%d spill entries, model has %d values of %d or more", len(tab.spill), spills, spilled)
 	}
 	seen := 0
 	tab.Range(func(k []byte, v uint64) bool {
@@ -87,6 +97,10 @@ func FuzzTable(f *testing.F) {
 	// arena compaction threshold, then reinserts onto the free list.
 	f.Add([]byte{6, 0, 255, 6, 1, 255, 7, 0, 255, 0, 9, 4, 4, 9, 5, 6, 0, 40, 7, 1, 200})
 	f.Add([]byte{4, 3, 1, 4, 3, 0, 1, 3, 200, 2, 3, 100, 2, 3, 200, 5, 3, 0, 4, 4, 1})
+	// Values above the inline cap: put, overwrite below and above it,
+	// add past it, subtract under it, store and remove through a slot,
+	// delete, then reuse the freed nodes.
+	f.Add([]byte{0, 1, 200, 0, 1, 5, 0, 1, 255, 1, 2, 100, 1, 2, 100, 2, 2, 150, 4, 3, 254, 4, 3, 1, 0, 4, 127, 3, 4, 0, 0, 5, 126, 1, 5, 1, 5, 5, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tab := New(5)
 		ref := map[string]uint64{}

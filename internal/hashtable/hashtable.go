@@ -18,16 +18,24 @@
 // # Layout
 //
 // The table holds no pointers the garbage collector has to follow per
-// entry. Chains link 32-byte nodes by uint32 index; the nodes live in
-// fixed-size chunks of 1024, so adding entries never copies the ones
-// already stored, and growth reallocates only the uint32 bucket-head
-// array. Keys of up to 16 bytes sit inline in their node; longer keys
-// are appended to chunked byte arenas and the node records where.
-// Deleted nodes go on a free list threaded through the chain links and
-// are reused first; arena bytes of deleted long keys are reclaimed by
-// compaction once they outweigh the live ones. Each node keeps the low
-// 27 bits of its key's hash, so growth relinks chains without hashing
-// any key again and a probe compares key bytes only on a hash match.
+// entry. Chains link 24-byte nodes by uint32 index; the nodes live in
+// fixed-size chunks of 1024 (24 KiB), so adding entries never copies
+// the ones already stored, and growth reallocates only the uint32
+// bucket-head array. Keys of up to 16 bytes sit inline in their node;
+// longer keys are appended to chunked byte arenas and the node records
+// where. Deleted nodes go on a free list threaded through the chain
+// links and are reused first; arena bytes of deleted long keys are
+// reclaimed by compaction once they outweigh the live ones.
+//
+// A node's 32-bit meta word holds the low 20 bits of its key's 27-bit
+// bucket hash, a 5-bit key code and a 7-bit value. The stored hash bits
+// let growth up to 2^20 buckets relink chains without hashing any key
+// again, and a probe compares key bytes only on a hash match; a
+// doubling past 2^20 buckets re-derives each key's bucket from its
+// KeyDigest, so bucket assignment and chain order are those of the full
+// 27-bit hash at every size. Values of 127 and above, which neither
+// CShBF_A's region bits nor CShBF_X's counts reach, live in a per-table
+// map keyed by node index, so every uint64 still round-trips.
 //
 // # Hashing
 //
@@ -52,18 +60,27 @@ const (
 	initialNodes   = 16 // capacity of the first node chunk before it grows
 
 	chunkShift = 10
-	chunkNodes = 1 << chunkShift // nodes per full chunk (32 KiB)
+	chunkNodes = 1 << chunkShift // nodes per full chunk (24 KiB)
 	chunkMask  = chunkNodes - 1
 
 	inlineKey  = 16       // longest key stored in its node
 	arenaChunk = 64 << 10 // largest arena chunk for long keys (bigger keys get their own)
 
-	// A node's meta word is the key's hash (low hashBits bits) and a
-	// 5-bit key code: the length of an inline key, longCode for an
-	// arena key, freeCode for a node on the free list.
-	hashBits   = 27
+	bucketBits = 27 // bits of the bucket hash
+	bucketMask = 1<<bucketBits - 1
+	maxBuckets = 1 << bucketBits // beyond this, chains lengthen instead
+
+	// A node's meta word is, from the low bit up, the low hashBits bits
+	// of the key's bucket hash, a 5-bit key code (the length of an
+	// inline key, longCode for an arena key, freeCode for a node on the
+	// free list) and the value. A value of spilled or more reads
+	// spilled here and is kept in the table's spill map.
+	hashBits   = 20
 	hashMask   = 1<<hashBits - 1
-	maxBuckets = 1 << hashBits // beyond this, chains lengthen instead
+	codeMask   = 1<<5 - 1
+	valueShift = hashBits + 5
+	keyMask    = 1<<valueShift - 1 // the hash and key code
+	spilled    = 1<<(32-valueShift) - 1
 	longCode   = 31
 	freeCode   = 30
 	freeMeta   = freeCode << hashBits
@@ -72,11 +89,13 @@ const (
 // node is one chain link. For an arena key, key holds the key's arena
 // position (chunk<<32 | offset) and its length, both little-endian.
 type node struct {
-	next  uint32 // next node in the chain or free list; 0 ends it
-	meta  uint32 // hash | key code<<hashBits
-	value uint64
-	key   [inlineKey]byte
+	next uint32 // next node in the chain or free list; 0 ends it
+	meta uint32 // hash | key code<<hashBits | value<<valueShift
+	key  [inlineKey]byte
 }
+
+// code returns the node's key code.
+func (n *node) code() uint32 { return n.meta >> hashBits & codeMask }
 
 // Table is a chained hash table from byte strings to uint64 values.
 // Use New; the zero value is unusable.
@@ -90,6 +109,8 @@ type Table struct {
 	arena     [][]byte // long keys, never spanning two chunks
 	arenaLive int      // arena bytes held by stored keys
 	arenaDead int      // arena bytes of deleted keys, reclaimed by compaction
+
+	spill map[uint32]uint64 // values of spilled or more, by node index
 
 	seed uint64 // mix seed of the bucket hash
 	acc  *memmodel.Counter
@@ -126,19 +147,19 @@ func (s Slot) Found() bool { return s.node != 0 }
 // Lookup finds key in one chain walk. d must be key's
 // hashing.KeyDigest. It charges one read per chain node touched.
 func (t *Table) Lookup(key []byte, d hashing.Digest) Slot {
-	h := uint32(hashing.MixDigest(d, t.seed)) & hashMask
+	h := t.bucketHash(d)
 	var want [inlineKey]byte
 	code := uint32(longCode)
 	if len(key) <= inlineKey {
 		copy(want[:], key)
 		code = uint32(len(key))
 	}
-	meta := h | code<<hashBits
+	meta := h&hashMask | code<<hashBits
 	var prev uint32
 	for i := t.buckets[h&uint32(len(t.buckets)-1)]; i != 0; {
 		n := t.at(i)
 		t.acc.AddReads(1)
-		if n.meta == meta {
+		if n.meta&keyMask == meta {
 			if code != longCode {
 				if n.key == want {
 					return Slot{hash: h, prev: prev, node: i}
@@ -157,7 +178,7 @@ func (t *Table) Value(s Slot) uint64 {
 	if s.node == 0 {
 		return 0
 	}
-	return t.at(s.node).value
+	return t.valueOf(s.node)
 }
 
 // Store sets the value of the slot's key, inserting key if the slot
@@ -166,7 +187,7 @@ func (t *Table) Value(s Slot) uint64 {
 func (t *Table) Store(s Slot, key []byte, value uint64) {
 	t.acc.AddWrites(1)
 	if s.node != 0 {
-		t.at(s.node).value = value
+		t.setValue(s.node, value)
 		return
 	}
 	if t.size >= len(t.buckets) && len(t.buckets) < maxBuckets {
@@ -174,16 +195,16 @@ func (t *Table) Store(s Slot, key []byte, value uint64) {
 	}
 	i := t.alloc()
 	n := t.at(i)
-	n.value = value
 	if len(key) <= inlineKey {
-		n.meta = s.hash | uint32(len(key))<<hashBits
+		n.meta = s.hash&hashMask | uint32(len(key))<<hashBits
 		copy(n.key[:], key)
 	} else {
-		n.meta = s.hash | longCode<<hashBits
+		n.meta = s.hash&hashMask | longCode<<hashBits
 		binary.LittleEndian.PutUint64(n.key[:8], t.appendArena(key))
 		binary.LittleEndian.PutUint64(n.key[8:], uint64(len(key)))
 		t.arenaLive += len(key)
 	}
+	t.setValue(i, value)
 	b := s.hash & uint32(len(t.buckets)-1)
 	n.next = t.buckets[b]
 	t.buckets[b] = i
@@ -203,10 +224,13 @@ func (t *Table) Remove(s Slot) {
 	} else {
 		t.at(s.prev).next = n.next
 	}
-	if n.meta>>hashBits == longCode {
+	if n.code() == longCode {
 		klen := int(binary.LittleEndian.Uint64(n.key[8:]))
 		t.arenaLive -= klen
 		t.arenaDead += klen
+	}
+	if n.meta>>valueShift == spilled {
+		delete(t.spill, s.node)
 	}
 	*n = node{next: t.free, meta: freeMeta}
 	t.free = s.node
@@ -273,7 +297,7 @@ func (t *Table) Delete(key []byte) bool {
 // must not be mutated during iteration.
 func (t *Table) Range(fn func(key []byte, value uint64) bool) {
 	for i := uint32(1); i < t.used; i++ {
-		if n := t.at(i); n.meta != freeMeta && !fn(t.keyOf(i), n.value) {
+		if t.at(i).meta != freeMeta && !fn(t.keyOf(i), t.valueOf(i)) {
 			return
 		}
 	}
@@ -295,11 +319,42 @@ func (t *Table) MaxChainLength() int {
 
 func (t *Table) at(i uint32) *node { return &t.nodes[i>>chunkShift][i&chunkMask] }
 
+// bucketHash returns the bucket hash of the key with digest d.
+func (t *Table) bucketHash(d hashing.Digest) uint32 {
+	return uint32(hashing.MixDigest(d, t.seed)) & bucketMask
+}
+
+// valueOf returns the value of live node i.
+func (t *Table) valueOf(i uint32) uint64 {
+	if v := t.at(i).meta >> valueShift; v != spilled {
+		return uint64(v)
+	}
+	return t.spill[i]
+}
+
+// setValue sets the value of live node i: in its meta word when the
+// value is below spilled, otherwise in the spill map. A spill entry the
+// node held before is dropped first.
+func (t *Table) setValue(i uint32, value uint64) {
+	n := t.at(i)
+	if n.meta>>valueShift == spilled {
+		delete(t.spill, i)
+	}
+	v := uint32(min(value, spilled))
+	n.meta = n.meta&keyMask | v<<valueShift
+	if v == spilled {
+		if t.spill == nil {
+			t.spill = make(map[uint32]uint64)
+		}
+		t.spill[i] = value
+	}
+}
+
 // keyOf returns the stored key of live node i, aliasing table storage
 // with its capacity capped so an append cannot write into the table.
 func (t *Table) keyOf(i uint32) []byte {
 	n := t.at(i)
-	if code := n.meta >> hashBits; code != longCode {
+	if code := n.code(); code != longCode {
 		return n.key[:code:code]
 	}
 	return longKey(t.arena, n)
@@ -365,15 +420,16 @@ func (t *Table) compactArena() {
 	t.arena, t.arenaDead = nil, 0
 	for i := uint32(1); i < t.used; i++ {
 		n := t.at(i)
-		if n.meta>>hashBits != longCode {
+		if n.code() != longCode {
 			continue
 		}
 		binary.LittleEndian.PutUint64(n.key[:8], t.appendArena(longKey(old, n)))
 	}
 }
 
-// grow doubles the bucket array and relinks every live node from its
-// stored hash, walking the node chunks in order.
+// grow doubles the bucket array and relinks every live node, walking
+// the node chunks in order. Up to 2^hashBits buckets a node's bucket
+// comes from its stored hash bits; past that, from its key's digest.
 func (t *Table) grow() {
 	buckets := make([]uint32, 2*len(t.buckets))
 	mask := uint32(len(buckets) - 1)
@@ -382,7 +438,11 @@ func (t *Table) grow() {
 		if n.meta == freeMeta {
 			continue
 		}
-		b := n.meta & mask
+		h := n.meta
+		if mask > hashMask {
+			h = t.bucketHash(hashing.KeyDigest(t.keyOf(i)))
+		}
+		b := h & mask
 		n.next = buckets[b]
 		buckets[b] = i
 	}

@@ -46,13 +46,13 @@ func (t *Table) sortedNodes() []uint32 {
 func (t *Table) appendSorted(buf []byte, idx []uint32, sel func(uint64) (uint64, bool)) []byte {
 	n := 0
 	for _, i := range idx {
-		if _, ok := sel(t.at(i).value); ok {
+		if _, ok := sel(t.valueOf(i)); ok {
 			n++
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(n))
 	for _, i := range idx {
-		v, ok := sel(t.at(i).value)
+		v, ok := sel(t.valueOf(i))
 		if !ok {
 			continue
 		}

@@ -28,14 +28,17 @@ import (
 
 // ServeShBP accepts ShBP connections on ln until ctx is cancelled or
 // ln fails, serving every namespace. It blocks; run it in its own
-// goroutine alongside the HTTP server.
+// goroutine alongside the HTTP server. When it returns after a
+// cancellation, ln and every connection it accepted are closed.
 func (s *Server) ServeShBP(ctx context.Context, ln net.Listener) error {
 	var (
-		mu    sync.Mutex
-		conns = map[net.Conn]struct{}{}
-		wg    sync.WaitGroup
+		mu       sync.Mutex
+		conns    = map[net.Conn]struct{}{}
+		wg       sync.WaitGroup
+		shutdown = make(chan struct{})
 	)
 	stop := context.AfterFunc(ctx, func() {
+		defer close(shutdown)
 		ln.Close()
 		mu.Lock()
 		for c := range conns {
@@ -43,7 +46,15 @@ func (s *Server) ServeShBP(ctx context.Context, ln net.Listener) error {
 		}
 		mu.Unlock()
 	})
-	defer stop()
+	// The shutdown callback runs on its own goroutine, and the loop
+	// below can see the cancellation before the callback has closed ln.
+	// Once it has started, wait for it, so that the port is closed when
+	// ServeShBP returns.
+	defer func() {
+		if !stop() {
+			<-shutdown
+		}
+	}()
 	defer wg.Wait()
 	for {
 		conn, err := ln.Accept()
