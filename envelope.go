@@ -170,7 +170,8 @@ func decodePayload(kind Kind, payload []byte) (Filter, error) {
 // no prior knowledge of what was dumped. Trailing bytes after the
 // envelope are an error. The header and declared length are validated
 // before the payload is read, so a corrupt or non-envelope stream is
-// rejected without buffering it.
+// rejected without buffering it, and a stream shorter than its
+// declared length costs about what it holds.
 func Load(r io.Reader) (Filter, error) {
 	br := bufio.NewReader(r)
 	hdr := make([]byte, len(envelopeMagic)+2)

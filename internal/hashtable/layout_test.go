@@ -74,7 +74,11 @@ func TestValueSpillFollowsOverwriteRemoveAndReuse(t *testing.T) {
 		if got, _ := tab.Get(key); got != v {
 			t.Fatalf("Get = %d after Put of %d", got, v)
 		}
-		if want := b2i(v >= spilled); len(tab.spill) != want {
+		want := 0
+		if v >= spilled {
+			want = 1
+		}
+		if len(tab.spill) != want {
 			t.Fatalf("value %d: %d spill entries, want %d", v, len(tab.spill), want)
 		}
 	}
@@ -101,13 +105,6 @@ func TestValueSpillFollowsOverwriteRemoveAndReuse(t *testing.T) {
 	if v, ok := tab.Sub(other, spilled); !ok || v != 0 || len(tab.spill) != 0 || tab.Contains(other) {
 		t.Fatalf("Sub of a spilled value to zero: (%d,%v), %d spill entries", v, ok, len(tab.spill))
 	}
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // TestGrowthPast20BucketBits grows a table past 2^20 buckets, where a
